@@ -3,7 +3,9 @@ package repro
 import (
 	"context"
 
+	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/lowdeg"
 )
 
 // Option tunes Build (functional options over the former IndexOptions).
@@ -100,29 +102,25 @@ func PatchGraph(g *Graph, edits []Edit) (*Graph, error) { return graph.Patch(g, 
 // patch, the accumulated deltas outgrow their thresholds) transparently
 // fall back to a full rebuild; Stats().MutRebuilds counts those.
 func (ix *Index) ApplyEdits(ctx context.Context, edits []Edit) (*Index, error) {
-	if ix.le != nil {
+	var next engine
+	var err error
+	switch e := ix.eng.(type) {
+	case *core.Engine:
+		next, err = e.ApplyEdits(ctx, edits)
+	case *lowdeg.Engine:
 		// The low-degree engine has no incremental path: a real edit is a
-		// full (but linear, hence cheap) rebuild; an identity batch returns
-		// the engine — and so the index — unchanged.
-		le2, err := ix.le.ApplyEdits(ctx, edits)
-		if err != nil {
-			return nil, err
-		}
-		if le2 == ix.le {
-			return ix, nil
-		}
-		return &Index{le: le2, sel: ix.sel, k: ix.k, q: ix.q, version: ix.version + 1}, nil
+		// full (but linear, hence cheap) rebuild.
+		next, err = e.ApplyEdits(ctx, edits)
 	}
-	e2, err := ix.e.ApplyEdits(ctx, edits)
 	if err != nil {
 		return nil, err
 	}
-	if e2 == ix.e {
+	if next == ix.eng {
 		// The batch netted out to the identity; the index is its own next
 		// version.
 		return ix, nil
 	}
-	return &Index{e: e2, sel: ix.sel, k: ix.k, q: ix.q, version: ix.version + 1}, nil
+	return &Index{eng: next, sel: ix.sel, k: ix.k, q: ix.q, version: ix.version + 1}, nil
 }
 
 // Mutate is ApplyEdits under the name the serving layer's endpoint uses.
@@ -131,12 +129,7 @@ func (ix *Index) Mutate(ctx context.Context, edits []Edit) (*Index, error) {
 }
 
 // Graph returns the graph this index version answers over.
-func (ix *Index) Graph() *Graph {
-	if ix.le != nil {
-		return ix.le.Graph()
-	}
-	return ix.e.Graph()
-}
+func (ix *Index) Graph() *Graph { return ix.eng.Graph() }
 
 // Version returns the index's mutation generation: 0 for a freshly built
 // index, incremented by every effective ApplyEdits.

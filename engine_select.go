@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 
+	"repro/internal/lowdeg"
 	"repro/internal/wcol"
 )
 
@@ -48,8 +49,8 @@ type Selection struct {
 	Requested EngineKind `json:"requested"` // the configured kind ("" means the core default)
 	Chosen    EngineKind `json:"chosen"`    // the engine actually built
 
-	MaxDegree  int `json:"max_degree"`  // measured maximum degree, or −1
-	Degeneracy int `json:"degeneracy"`  // measured degeneracy, or −1
+	MaxDegree       int `json:"max_degree"`       // measured maximum degree, or −1
+	Degeneracy      int `json:"degeneracy"`       // measured degeneracy, or −1
 	DegreeLimit     int `json:"degree_limit"`     // AutoMaxDegree at decision time
 	DegeneracyLimit int `json:"degeneracy_limit"` // AutoMaxDegeneracy at decision time
 }
@@ -96,7 +97,7 @@ func selectEngine(g *Graph, req EngineKind) (Selection, error) {
 
 // Engine returns the kind of engine backing this index.
 func (ix *Index) Engine() EngineKind {
-	if ix.le != nil {
+	if _, ok := ix.eng.(*lowdeg.Engine); ok {
 		return EngineLowDeg
 	}
 	return EngineCore

@@ -2,8 +2,12 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/answer"
+	"repro/internal/naive"
 )
 
 // The engine-selection layer routes index builds between the core
@@ -272,5 +276,55 @@ func TestParseCountQuery(t *testing.T) {
 	}
 	if _, err := ParseCountQuery("#x: C0(y)"); err == nil {
 		t.Fatal("undeclared free variable should be rejected")
+	}
+}
+
+// TestSolutionCountCtxBothEngines pins the cancellable count path of the
+// facade on both engines. A query FastCount cannot handle (arity 3 with a
+// disconnected type) falls back to enumeration: an already-canceled ctx
+// stops it with ctx.Err() and leaves the cache empty, and a later
+// SolutionCount returns the naive-oracle count with fast == false. A
+// FastCount-able query never enumerates, so it ignores the canceled ctx.
+func TestSolutionCountCtxBothEngines(t *testing.T) {
+	g := Generate("bdeg", 30, GenOptions{Seed: 3, Colors: 2})
+	slow := MustParseQuery("dist(x,z) > 2 & dist(y,z) > 2 & C0(z)", "x", "y", "z")
+	wantSlow := len(naive.Solutions(g, slow.Phi, slow.Vars))
+	if wantSlow <= answer.CountCheckEvery {
+		t.Fatalf("fixture too small to reach a ctx poll: %d answers", wantSlow)
+	}
+	quick := selTestQuery()
+	wantQuick := len(naive.Solutions(g, quick.Phi, quick.Vars))
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	for _, eng := range []EngineKind{EngineCore, EngineLowDeg} {
+		t.Run(string(eng), func(t *testing.T) {
+			ix, err := Build(context.Background(), g, slow, WithEngine(eng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ix.Engine() != eng {
+				t.Fatalf("built on %q, want %q", ix.Engine(), eng)
+			}
+			n, fast, err := ix.SolutionCountCtx(canceled)
+			if !errors.Is(err, context.Canceled) || n != 0 || fast {
+				t.Fatalf("canceled SolutionCountCtx = (%d, %v, %v), want (0, false, context.Canceled)", n, fast, err)
+			}
+			if ix.countDone.Load() {
+				t.Fatal("a canceled count populated the cache")
+			}
+			if n, fast := ix.SolutionCount(); n != wantSlow || fast {
+				t.Fatalf("SolutionCount = (%d, %v), want (%d, false)", n, fast, wantSlow)
+			}
+
+			fx, err := Build(context.Background(), g, quick, WithEngine(eng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, fast, err = fx.SolutionCountCtx(canceled)
+			if err != nil || !fast || n != wantQuick {
+				t.Fatalf("FastCount-able SolutionCountCtx = (%d, %v, %v), want (%d, true, nil)", n, fast, err, wantQuick)
+			}
+		})
 	}
 }

@@ -92,8 +92,8 @@ type NextLaster interface {
 	NextLast(prefix []graph.V, b graph.V) (graph.V, bool)
 }
 
-// Cursor is the pull-iterator face (core.Iterator, lowdeg.Iterator, or
-// the materialized naive cursor).
+// Cursor is the pull-iterator face (the engines' shared answer.Iterator,
+// or the materialized naive cursor).
 type Cursor interface {
 	Seek(a []graph.V)
 	HasNext() bool

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/answer"
 	"repro/internal/cover"
 	"repro/internal/dist"
 	"repro/internal/fo"
@@ -69,34 +71,19 @@ type Stats struct {
 	MutWall     time.Duration // wall time of the last ApplyEdits
 }
 
-// counters holds the answering-phase statistics as registry-compatible
-// atomic instruments, so concurrent queries can bump them without a lock;
-// Stats() folds them into the snapshot it returns, and Preprocess
-// registers them in Options.Obs (when provided) so live scrapes see the
-// same numbers with no double counting.
-type counters struct {
-	candidates    obs.Counter
-	deadEnds      obs.Counter
-	localEvals    obs.Counter
-	localEvalHits obs.Counter
-}
-
-// instruments are the optional answering-phase latency histograms. All
-// fields are nil unless Options.Obs was provided — the nil check is the
-// disabled fast path.
-type instruments struct {
-	nextGeq  *obs.Histogram // NextGeq call latency
-	nextLast *obs.Histogram // NextLast call latency
-	test     *obs.Histogram // Test call latency
-	delay    *obs.Histogram // per-answer delay inside Enumerate (Cor. 2.5)
-}
-
 // Engine is the preprocessed structure of Theorem 2.3 for one graph and one
 // LocalQuery. Preprocess must complete before use; afterwards the
 // answering methods (NextGeq, NextGt, NextLast, Test, Enumerate, Count,
 // FastCount, Stats) are safe for concurrent use — query-time scratch is
 // pooled per goroutine and the lazy caches are concurrent maps.
+//
+// The answering phase is the shared skeleton of internal/answer; the
+// engine is its oracle: distance tests through the Proposition 4.2
+// index, Case I through skip pointers and kernel scans, and Case II over
+// lazily cached balls.
 type Engine struct {
+	answer.Skeleton
+
 	g   *graph.Graph
 	q   *LocalQuery
 	k   int
@@ -104,21 +91,22 @@ type Engine struct {
 	rho int // local radius ρ
 
 	dix     *dist.Index
-	evPool  sync.Pool // *fo.Evaluator with dist atoms served by dix
-	envPool sync.Pool // fo.Env scratch for guarded local evaluations
 	cov     *cover.Cover
 	bagSubs []*graph.Sub   // only materialized for non-guarded queries
 	bagBFS  []*scratchPool // per-bag BFS scratch
-	gbfs    *scratchPool   // global scratch (guarded paths)
 
-	clauses    []*clauseRT
+	caseI      []caseI  // per component ID: the Case I structures
 	liveIdx    []int    // indices into q.Clauses of guard-surviving clauses
-	ballCache  sync.Map // graph.V -> []graph.V, radius R(k−1)
-	ballRCache sync.Map // graph.V -> []graph.V, radius R
+	ballCache  sync.Map // graph.V -> []int32, radius R(k−1)
+	ballRCache sync.Map // graph.V -> []int32, radius R
 	stats      Stats
-	ctr        counters
-	instr      instruments
-	obsReg     *obs.Registry // nil when built without Options.Obs
+}
+
+// caseI holds one component's Case I structures: the Lemma 5.8 skip
+// pointers over its starter list and, per bag, starter ∩ K_R(bag).
+type caseI struct {
+	skip     *skip.Pointers // nil for unary queries
+	byKernel [][]graph.V
 }
 
 // scratchPool hands out per-goroutine BFS scratch bound to one graph.
@@ -133,31 +121,52 @@ func newScratchPool(g *graph.Graph) *scratchPool {
 func (sp *scratchPool) get() *graph.BFS  { return sp.p.Get().(*graph.BFS) }
 func (sp *scratchPool) put(b *graph.BFS) { sp.p.Put(b) }
 
-// clauseRT is the runtime form of one clause.
-type clauseRT struct {
-	clause  *Clause
-	comps   []*compRT
-	compOf  []int // position -> index into comps
-	firstOf []int // position -> earliest position of its component
+// newEngine returns an engine for (g, q) answering through dix, with the
+// skeleton wired to it; the caller fills the cover and the clauses.
+func newEngine(g *graph.Graph, q *LocalQuery, dix *dist.Index) *Engine {
+	e := &Engine{g: g, q: q, k: q.K, r: q.R, rho: q.LocalRadius, dix: dix}
+	e.Setup(e, g, q.K, q.LocalRadius, q.Guarded, func() *fo.Evaluator {
+		ev := fo.NewEvaluator(g)
+		ev.UseDistTester(dix)
+		return ev
+	})
+	return e
 }
 
-// compRT is the runtime form of one component formula.
-type compRT struct {
-	positions []int
-	typ       *fo.DistType // the owning clause's distance type
-	psi       fo.Formula
-	vars      []fo.Var // PosVar of each position, aligned with positions
-	last      int      // max position (where ψ gets tested)
+// coverRadius is the neighborhood-cover radius. The kernels make "outside
+// every kernel ⇒ far from every previous element" sound, which needs bags
+// ⊇ N_{2R}(center of coverage). Guarded queries evaluate their local
+// formulas on global balls, so 2R suffices; hand-built queries
+// additionally need the bag to contain N_ρ(ā_I) around the component's
+// first element (ā_I spans ≤ R(k−1) from it), because their semantics is
+// tied to G[N_ρ(ā_I)] computed inside the bag.
+func (q *LocalQuery) coverRadius() int {
+	coverR := 2 * q.R
+	if !q.Guarded {
+		if alt := q.R*q.K + q.LocalRadius; alt > coverR {
+			coverR = alt
+		}
+	}
+	return coverR
+}
 
-	// Starter machinery for the component's first position (Case I of the
-	// paper, generalized to every level that opens a new component).
-	starter      []graph.V // sorted vertices that can open the component
-	inStart      []bool    // membership, indexed by vertex
-	starterReady bool      // inStart complete: O(1) unary evaluation
-	skip         *skip.Pointers
-	byKernel     [][]graph.V // per bag: starter ∩ K_R(bag), sorted
-
-	memo sync.Map // tupleKey -> bool, bag-local evaluation memo
+// setCover installs the cover and, for hand-built queries, the induced bag
+// subgraphs their local evaluations run in.
+func (e *Engine) setCover(cov *cover.Cover, pool *par.Pool) {
+	e.cov = cov
+	e.stats.CoverRadius = cov.R
+	e.stats.CoverBags = cov.NumBags()
+	e.stats.CoverDegree = cov.Degree()
+	if e.q.Guarded {
+		return
+	}
+	e.bagSubs = par.Map(pool, cov.NumBags(), func(i int) *graph.Sub {
+		return graph.Induce(e.g, cov.Bag(i))
+	})
+	e.bagBFS = make([]*scratchPool, len(e.bagSubs))
+	for i := range e.bagBFS {
+		e.bagBFS[i] = newScratchPool(e.bagSubs[i].G)
+	}
 }
 
 // Preprocess builds the Theorem 2.3 index: distance index, (kR+ρ, ·)
@@ -190,11 +199,8 @@ func Preprocess(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
 	if err := checkpoint(); err != nil {
 		return nil, err
 	}
-	e := &Engine{g: g, q: q, k: q.K, r: q.R, rho: q.LocalRadius, obsReg: opt.Obs}
 	workers := par.Resolve(opt.Parallelism)
 	pool := par.NewPool(workers).WithMetrics(par.NewMetrics(opt.Obs, "engine.pool"))
-	e.stats.Workers = workers
-	e.gbfs = newScratchPool(g)
 	// StartSpan instead of Span: when the context carries a request trace
 	// (serve's singleflight build), the whole phase tree below lands in
 	// that trace under its existing span names.
@@ -203,14 +209,6 @@ func Preprocess(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
 	// Distance index (Proposition 4.2) for the type tests dist ≤ R and —
 	// on guarded queries — for the distance atoms inside the component
 	// formulas, whose constants may exceed R.
-	distR := e.r
-	for ci := range q.Clauses {
-		for li := range q.Clauses[ci].Locals {
-			if d := fo.MaxDistConstant(q.Clauses[ci].Locals[li].Psi); d > distR {
-				distR = d
-			}
-		}
-	}
 	distOpt := opt.Dist
 	if distOpt.Workers == 0 {
 		distOpt.Workers = workers
@@ -219,82 +217,38 @@ func Preprocess(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
 		distOpt.Obs = opt.Obs
 	}
 	sp := root.Child("dist")
-	e.dix = dist.New(g, distR, distOpt)
+	e := newEngine(g, q, dist.New(g, q.distRadius(), distOpt))
 	e.stats.DistWall = sp.End()
+	e.stats.Workers = workers
 	if err := checkpoint(); err != nil {
 		return nil, err
 	}
-	e.evPool.New = func() any {
-		ev := fo.NewEvaluator(g)
-		ev.UseDistTester(e.dix)
-		return ev
-	}
-	e.envPool.New = func() any { return fo.Env{} }
 
-	// Cover radius. The kernels make "outside every kernel ⇒ far from
-	// every previous element" sound, which needs bags ⊇ N_{2R}(center of
-	// coverage). Guarded queries evaluate their local formulas on global
-	// balls, so 2R suffices; hand-built queries additionally need the bag
-	// to contain N_ρ(ā_I) around the component's first element (ā_I spans
-	// ≤ R(k−1) from it), because their semantics is tied to G[N_ρ(ā_I)]
-	// computed inside the bag.
-	coverR := 2 * e.r
-	if !q.Guarded {
-		if alt := e.r*e.k + e.rho; alt > coverR {
-			coverR = alt
-		}
-	}
 	sp = root.Child("cover")
-	e.cov = cover.ComputeWith(g, coverR, cover.Options{Workers: workers, Obs: opt.Obs})
+	cov := cover.ComputeWith(g, q.coverRadius(), cover.Options{Workers: workers, Obs: opt.Obs})
 	e.stats.CoverWall = sp.End()
 	if err := checkpoint(); err != nil {
 		return nil, err
 	}
 	sp = root.Child("kernel")
-	e.cov.ComputeKernels(e.r)
+	cov.ComputeKernels(e.r)
 	e.stats.KernelWall = sp.End()
 	if err := checkpoint(); err != nil {
 		return nil, err
 	}
-	e.stats.CoverRadius = coverR
-	e.stats.CoverBags = e.cov.NumBags()
-	e.stats.CoverDegree = e.cov.Degree()
-
-	if !q.Guarded {
-		e.bagSubs = par.Map(pool, e.cov.NumBags(), func(i int) *graph.Sub {
-			return graph.Induce(g, e.cov.Bag(i))
-		})
-		e.bagBFS = make([]*scratchPool, len(e.bagSubs))
-		for i := range e.bagBFS {
-			e.bagBFS[i] = newScratchPool(e.bagSubs[i].G)
-		}
-	}
+	e.setCover(cov, pool)
 
 	// Evaluate guards once (the ξ^i_τ sentences of Theorem 5.4) and drop
 	// failing clauses. The surviving indices are recorded so a snapshot can
 	// restore the exact clause set without re-evaluating the guards.
-	var live []Clause
-	for ci := range q.Clauses {
-		if q.Guards != nil && q.Guards[ci] != nil {
-			gd := q.Guards[ci]
-			holds := fo.NewEvaluator(g).Eval(gd.Sentence, fo.Env{})
-			if holds == gd.Negated {
-				continue
-			}
-		}
-		e.liveIdx = append(e.liveIdx, ci)
-		live = append(live, q.Clauses[ci])
-	}
-
-	for ci := range live {
+	e.liveIdx = q.LiveClauses(g)
+	for _, ci := range e.liveIdx {
 		if err := checkpoint(); err != nil {
 			return nil, err
 		}
-		rt, err := e.buildClause(&live[ci], pool, root, checkpoint)
-		if err != nil {
+		if err := e.buildClause(&q.Clauses[ci], pool, root, checkpoint); err != nil {
 			return nil, err
 		}
-		e.clauses = append(e.clauses, rt)
 	}
 	root.End()
 	e.exportInstruments(opt.Obs)
@@ -306,184 +260,58 @@ func Preprocess(g *graph.Graph, q *LocalQuery, opt Options) (*Engine, error) {
 // histograms. A nil registry leaves the engine uninstrumented (every
 // histogram pointer stays nil, so the hot path pays one branch per call).
 func (e *Engine) exportInstruments(reg *obs.Registry) {
+	e.Instrument(reg, "engine")
 	if reg == nil {
 		return
 	}
-	reg.RegisterCounter("engine.candidates", &e.ctr.candidates)
-	reg.RegisterCounter("engine.dead_ends", &e.ctr.deadEnds)
-	reg.RegisterCounter("engine.local_evals", &e.ctr.localEvals)
-	reg.RegisterCounter("engine.local_eval_hits", &e.ctr.localEvalHits)
 	reg.Gauge("engine.workers").Set(int64(e.stats.Workers))
 	reg.Gauge("engine.cover_bags").Set(int64(e.stats.CoverBags))
 	reg.Gauge("engine.cover_degree").Set(int64(e.stats.CoverDegree))
 	reg.Gauge("engine.cover_radius").Set(int64(e.stats.CoverRadius))
 	reg.Gauge("engine.skip_pointers").Set(int64(e.stats.SkipPointers))
-	reg.Gauge("engine.clauses").Set(int64(len(e.clauses)))
-	e.instr.nextGeq = reg.Histogram("engine.next_geq_ns")
-	e.instr.nextLast = reg.Histogram("engine.next_last_ns")
-	e.instr.test = reg.Histogram("engine.test_ns")
-	e.instr.delay = reg.Histogram("engine.delay_ns")
+	reg.Gauge("engine.clauses").Set(int64(len(e.Clauses)))
+	e.RecordLatency("engine")
 }
 
-// Obs returns the registry the engine records into (nil when built
-// without Options.Obs).
-func (e *Engine) Obs() *obs.Registry { return e.obsReg }
-
-func (e *Engine) buildClause(cl *Clause, pool *par.Pool, trace *obs.Span, checkpoint func() error) (*clauseRT, error) {
-	rt := &clauseRT{
-		clause:  cl,
-		compOf:  make([]int, e.k),
-		firstOf: make([]int, e.k),
-	}
-	for li := range cl.Locals {
-		lf := &cl.Locals[li]
-		c := &compRT{
-			positions: lf.Positions,
-			typ:       cl.Type,
-			psi:       lf.Psi,
-			last:      lf.Positions[len(lf.Positions)-1],
-		}
-		for _, p := range lf.Positions {
-			c.vars = append(c.vars, PosVar(p))
-			rt.compOf[p] = li
-			rt.firstOf[p] = lf.Positions[0]
-		}
+// buildClause computes the starter list (Step 12 of the paper), skip
+// pointers and kernel lists of every component of a live clause and
+// appends its runtime form.
+func (e *Engine) buildClause(cl *Clause, pool *par.Pool, trace *obs.Span, checkpoint func() error) error {
+	rt := cl.Runtime(e.k, len(e.caseI))
+	for _, c := range rt.Comps {
 		sp := trace.Child("starter")
-		e.computeStarter(c, pool)
+		e.ComputeStarter(c, pool.ForEach)
 		e.stats.StarterWall += sp.End()
-		e.stats.StarterSizes = append(e.stats.StarterSizes, len(c.starter))
+		e.stats.StarterSizes = append(e.stats.StarterSizes, len(c.Starter))
 		if err := checkpoint(); err != nil {
-			return nil, err
+			return err
 		}
+		var x caseI
 		if e.k >= 2 {
 			sp = trace.Child("skip")
-			c.skip = skip.New(e.g, e.cov, e.k-1, c.starter)
+			x.skip = skip.New(e.g, e.cov, e.k-1, c.Starter)
 			e.stats.SkipWall += sp.End()
-			e.stats.SkipPointers += c.skip.Size()
+			e.stats.SkipPointers += x.skip.Size()
 		}
-		e.buildKernelLists(c, pool)
-		rt.comps = append(rt.comps, c)
+		x.byKernel = e.kernelLists(c.InStart, pool)
+		e.caseI = append(e.caseI, x)
 	}
-	return rt, nil
+	e.Clauses = append(e.Clauses, rt)
+	return nil
 }
 
-// computeStarter fills c.starter: the vertices v that can take the
-// component's first position, i.e. for which the component has a local
-// solution with first coordinate v (Step 12 of the paper for singleton
-// components; the multi-position generalization searches the ball around v
-// for a completion respecting the component's internal distance pattern).
-//
-// The per-vertex tests are independent — they share only the concurrent
-// caches and pooled scratch — so they fan out across the pool; each vertex
-// writes its own inStart slot and the sorted starter list is assembled
-// from the bitmap afterwards, making the result worker-count-independent.
-func (e *Engine) computeStarter(c *compRT, pool *par.Pool) {
-	c.inStart = make([]bool, e.g.N())
-	pool.ForEach(e.g.N(), func(v int) {
-		if len(c.positions) == 1 {
-			c.inStart[v] = e.localEval(c, []graph.V{v})
-		} else {
-			c.inStart[v] = e.completesComponent(c, []graph.V{v})
-		}
-	})
-	for v, in := range c.inStart {
-		if in {
-			c.starter = append(c.starter, v)
-		}
-	}
-	if len(c.positions) == 1 {
-		// The starter list IS the unary solution list; later localEval
-		// calls answer from the bitmap in O(1).
-		c.starterReady = true
-	}
-}
-
-// completesComponent reports whether the partial component assignment
-// (values for c.positions[:len(vals)]) extends to a full local solution of
-// the component, searching candidates in the ball around the first value.
-func (e *Engine) completesComponent(c *compRT, vals []graph.V) bool {
-	if len(vals) == len(c.positions) {
-		return e.checkComponentType(c, vals) && e.localEval(c, vals)
-	}
-	// Candidates for the next position: within R·(|I|−1) of the first.
-	for _, w := range e.cachedBall(vals[0]) {
-		if e.partialTypeOK(c, vals, w) && e.completesComponent(c, append(vals, w)) {
-			return true
-		}
-	}
-	return false
-}
-
-// componentBall returns the sorted ball of radius R·(k−1) around v, in
-// original vertex ids. Every component completion lives inside it. Guarded
-// queries compute it on the global graph; hand-built queries inside the
-// bag 𝒳(v) (the two agree on the ball itself, since the bag contains it).
-func (e *Engine) componentBall(v graph.V) []graph.V {
-	radius := e.r * (e.k - 1)
-	if e.q.Guarded {
-		bfs := e.gbfs.get()
-		ball := bfs.Ball(v, radius)
-		out := make([]graph.V, len(ball))
-		for i, w := range ball {
-			out[i] = int(w)
-		}
-		e.gbfs.put(bfs)
-		sort.Ints(out)
-		return out
-	}
-	bag := e.cov.Assign(v)
-	sub := e.bagSubs[bag]
-	bfs := e.bagBFS[bag].get()
-	ball := bfs.Ball(sub.Local(v), radius)
-	out := make([]graph.V, len(ball))
-	for i, w := range ball {
-		out[i] = sub.Orig[int(w)]
-	}
-	e.bagBFS[bag].put(bfs)
-	sort.Ints(out)
-	return out
-}
-
-// partialTypeOK checks the distance-type edges between the prospective
-// value w (for position c.positions[len(vals)]) and the already placed
-// component values.
-func (e *Engine) partialTypeOK(c *compRT, vals []graph.V, w graph.V) bool {
-	pj := c.positions[len(vals)]
-	for i, v := range vals {
-		pi := c.positions[i]
-		if e.dix.Within(v, w, e.r) != c.typeClose(pi, pj) {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *compRT) typeClose(pi, pj int) bool { return c.typ.Close(pi, pj) }
-
-// checkComponentType re-verifies all internal type edges of the component.
-func (e *Engine) checkComponentType(c *compRT, vals []graph.V) bool {
-	for i := range vals {
-		for j := i + 1; j < len(vals); j++ {
-			if e.dix.Within(vals[i], vals[j], e.r) != c.typeClose(c.positions[i], c.positions[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// buildKernelLists fills c.byKernel[bag] = starter ∩ K_R(bag). Bags are
-// independent and each task writes only its own list.
-func (e *Engine) buildKernelLists(c *compRT, pool *par.Pool) {
+// kernelLists returns, per bag, starter ∩ K_R(bag) for the starter bitmap
+// inStart. Bags are independent and each task writes only its own list.
+func (e *Engine) kernelLists(inStart []bool, pool *par.Pool) [][]graph.V {
 	// Two counting passes into one flat backing array: per-bag append
 	// allocations made this a hotspot on the snapshot-restore path.
 	nb := e.cov.NumBags()
-	c.byKernel = make([][]graph.V, nb)
+	byKernel := make([][]graph.V, nb)
 	cnt := make([]int32, nb+1)
 	pool.ForEach(nb, func(i int) {
 		m := int32(0)
 		for _, v := range e.cov.Kernel(i) {
-			if c.inStart[v] {
+			if inStart[v] {
 				m++
 			}
 		}
@@ -496,69 +324,137 @@ func (e *Engine) buildKernelLists(c *compRT, pool *par.Pool) {
 	pool.ForEach(nb, func(i int) {
 		row := flat[cnt[i]:cnt[i]:cnt[i+1]]
 		for _, v := range e.cov.Kernel(i) {
-			if c.inStart[v] {
+			if inStart[v] {
 				row = append(row, v)
 			}
 		}
-		c.byKernel[i] = row
+		byKernel[i] = row
 	})
+	return byKernel
 }
 
-// localEval evaluates ψ_I(ā_I) locally, with memoization. vals is aligned
-// with c.positions. For guarded queries (compiler-certified witness
-// bounds) the formula is evaluated on the global graph with quantifiers
-// restricted to the ρ-ball and distance atoms served by the index — no
-// subgraph construction at all. Hand-built queries get the literal
-// G[N_ρ(ā_I)] semantics of EvalReference.
+// Within is the oracle's distance test: dist(a, b) ≤ R through the
+// Proposition 4.2 index.
 //
-// Safe for concurrent use: the memo is a concurrent map (duplicate
-// concurrent evaluations compute the same value, so racing stores are
-// benign) and evaluator/BFS scratch comes from per-goroutine pools.
-func (e *Engine) localEval(c *compRT, vals []graph.V) bool {
-	if c.starterReady && len(vals) == 1 {
-		return c.inStart[vals[0]]
-	}
-	//fod:coldpath memo key of the general-component path — singleton components (the pinned 0-alloc guards) take the starterReady fast path above
-	key := tupleKey(vals)
-	if r, ok := c.memo.Load(key); ok {
-		e.ctr.localEvalHits.Add(1)
-		return r.(bool)
-	}
-	e.ctr.localEvals.Add(1)
-	var res bool
-	if e.q.Guarded {
-		// Global semantics: ball on the global graph, quantifiers over the
-		// ball, distance atoms via the index. No subgraph construction.
-		bfs := e.gbfs.get()
-		ball := bfs.BallMulti(vals, e.rho)
-		domain := make([]graph.V, len(ball))
-		for i, w := range ball {
-			domain[i] = int(w)
+//fod:hotpath
+func (e *Engine) Within(a, b graph.V) bool { return e.dix.Within(a, b, e.r) }
+
+// Opening is the oracle's Case I: the candidate must come from the
+// component's starter list and be at distance > R from every prefix
+// element (all of which belong to other components). The answer is the
+// minimum of the skip-pointer candidate (outside every kernel of the
+// prefix's canonical bags, hence automatically far) and one scan per
+// canonical bag kernel.
+//
+//fod:hotpath
+func (e *Engine) Opening(c *answer.Comp, prefix []graph.V, lower graph.V) graph.V {
+	x := &e.caseI[c.ID]
+	// Canonical bags of the prefix elements, deduplicated. The prefix has
+	// ≤ k−1 ≤ skip.MaxSetSize elements (Preprocess enforces the arity
+	// bound), so a fixed-size stack array holds the set without
+	// allocating.
+	var bagArr [skip.MaxSetSize]int
+	bags := bagArr[:0]
+	for _, p := range prefix {
+		b := e.cov.Assign(p)
+		dup := false
+		for _, y := range bags {
+			if y == b {
+				dup = true
+				break
+			}
 		}
-		e.gbfs.put(bfs)
-		env := e.envPool.Get().(fo.Env)
-		clear(env)
-		for i, v := range vals {
-			env[c.vars[i]] = v
+		if !dup {
+			bags = append(bags, b)
 		}
-		ev := e.evPool.Get().(*fo.Evaluator)
-		res = ev.EvalOver(c.psi, env, domain)
-		e.evPool.Put(ev)
-		e.envPool.Put(env)
-	} else {
-		// Hand-built (uncertified) queries only: the pinned 0-alloc delay
-		// guards all run compiler-certified queries, and the memo above
-		// makes this a once-per-tuple cost, not a per-answer one.
-		//fod:coldpath memoized fallback for uncertified queries
-		res = e.exactBallEval(c, vals)
 	}
-	c.memo.Store(key, res)
-	return res
+	best := graph.V(-1)
+	if x.skip != nil {
+		if v := x.skip.Query(lower, bags); v != skip.None {
+			best = v
+		}
+	}
+	// Scan starter ∩ K_R(X) for each canonical bag X, rejecting candidates
+	// within distance R of some prefix element. Rejections are confined to
+	// the R-balls of the ≤ k−1 prefix elements, hence pseudo-constant on
+	// nowhere dense inputs.
+	for _, b := range bags {
+		lst := x.byKernel[b]
+		for i := sort.SearchInts(lst, lower); i < len(lst); i++ {
+			v := lst[i]
+			if best >= 0 && v >= best {
+				break
+			}
+			if e.farFromAll(v, prefix) {
+				best = v
+				break
+			}
+		}
+	}
+	return best
 }
 
-// exactBallEval is the literal G[N_ρ(ā_I)] semantics for hand-built
+//fod:hotpath
+func (e *Engine) farFromAll(v graph.V, prefix []graph.V) bool {
+	for _, p := range prefix {
+		if e.dix.Within(v, p, e.r) {
+			return false
+		}
+	}
+	return true
+}
+
+// CompBall is the oracle's Case II row: the ball of radius R·(k−1) around
+// v, memoized per vertex.
+func (e *Engine) CompBall(v graph.V) []int32 {
+	return e.cachedBall(&e.ballCache, v, e.r*(e.k-1))
+}
+
+// BallR is the oracle's N_R(v), memoized per vertex; for k = 2 it shares
+// CompBall's cache (the radii coincide).
+func (e *Engine) BallR(v graph.V) []int32 {
+	if e.k == 2 {
+		return e.CompBall(v)
+	}
+	return e.cachedBall(&e.ballRCache, v, e.r)
+}
+
+// cachedBall returns the sorted ball of the given radius around v, in
+// original vertex ids, memoized in cache. Guarded queries compute it on
+// the global graph; hand-built queries inside the bag 𝒳(v) (the two agree
+// on the ball itself, since the bag contains it). Concurrent callers may
+// compute the same ball twice; both results are identical and the losing
+// store is harmless.
+func (e *Engine) cachedBall(cache *sync.Map, v graph.V, radius int) []int32 {
+	if b, ok := cache.Load(v); ok {
+		return b.([]int32)
+	}
+	var out []int32
+	if e.q.Guarded {
+		bfs := e.BFS()
+		out = append(out, bfs.Ball(v, radius)...)
+		e.PutBFS(bfs)
+	} else {
+		bag := e.cov.Assign(v)
+		sub := e.bagSubs[bag]
+		bfs := e.bagBFS[bag].get()
+		ball := bfs.Ball(sub.Local(v), radius)
+		out = make([]int32, len(ball))
+		for i, w := range ball {
+			out[i] = int32(sub.Orig[int(w)])
+		}
+		e.bagBFS[bag].put(bfs)
+	}
+	slices.Sort(out)
+	cache.Store(v, out)
+	return out
+}
+
+// ExactEval is the literal G[N_ρ(ā_I)] semantics for hand-built
 // (uncertified) queries, evaluated inside the bag of the first element.
-func (e *Engine) exactBallEval(c *compRT, vals []graph.V) bool {
+//
+//fod:ctxok one evaluation over the ρ-ball of ≤ k component values, memoized per tuple by the skeleton
+func (e *Engine) ExactEval(c *answer.Comp, vals []graph.V) bool {
 	bag := e.cov.Assign(vals[0])
 	sub := e.bagSubs[bag]
 	locals := make([]graph.V, len(vals))
@@ -584,21 +480,9 @@ func (e *Engine) exactBallEval(c *compRT, vals []graph.V) bool {
 	ev := fo.NewCachedEvaluator(ballSub.G)
 	env := fo.Env{}
 	for i := range vals {
-		env[c.vars[i]] = ballSub.Local(locals[i])
+		env[c.Vars[i]] = ballSub.Local(locals[i])
 	}
-	return ev.Eval(c.psi, env)
-}
-
-func tupleKey(vals []graph.V) string {
-	b := make([]byte, 0, len(vals)*5)
-	for _, v := range vals {
-		for v >= 0x80 {
-			b = append(b, byte(v)|0x80)
-			v >>= 7
-		}
-		b = append(b, byte(v))
-	}
-	return string(b)
+	return ev.Eval(c.Psi, env)
 }
 
 // Stats returns a snapshot of the current statistics. The snapshot is
@@ -608,15 +492,9 @@ func tupleKey(vals []graph.V) string {
 func (e *Engine) Stats() Stats {
 	s := e.stats
 	s.StarterSizes = append([]int(nil), e.stats.StarterSizes...)
-	s.Candidates = int(e.ctr.candidates.Load())
-	s.DeadEnds = int(e.ctr.deadEnds.Load())
-	s.LocalEvals = int(e.ctr.localEvals.Load())
-	s.LocalEvalHits = int(e.ctr.localEvalHits.Load())
+	s.Candidates, s.DeadEnds, s.LocalEvals, s.LocalEvalHits = e.Counters()
 	return s
 }
-
-// Graph returns the underlying graph.
-func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // Query returns the query the engine was built for.
 func (e *Engine) Query() *LocalQuery { return e.q }

@@ -39,16 +39,16 @@ func (e *Engine) Explain() string {
 	fmt.Fprintf(&sb, "  cover: radius %d, %d bags, degree %d\n",
 		e.stats.CoverRadius, e.stats.CoverBags, e.stats.CoverDegree)
 	fmt.Fprintf(&sb, "  distance index: radius %d, %v\n", e.dix.Radius(), e.dix.Stats())
-	fmt.Fprintf(&sb, "  %d live clauses (after guard evaluation):\n", len(e.clauses))
-	for ci, rt := range e.clauses {
-		fmt.Fprintf(&sb, "    clause %d: %s\n", ci, rt.clause.Type)
-		for _, c := range rt.comps {
+	fmt.Fprintf(&sb, "  %d live clauses (after guard evaluation):\n", len(e.Clauses))
+	for ci, rt := range e.Clauses {
+		fmt.Fprintf(&sb, "    clause %d: %s\n", ci, rt.Type)
+		for _, c := range rt.Comps {
 			skipSize := 0
-			if c.skip != nil {
-				skipSize = c.skip.Size()
+			if sk := e.caseI[c.ID].skip; sk != nil {
+				skipSize = sk.Size()
 			}
 			fmt.Fprintf(&sb, "      I=%v: |starter|=%d, skip pointers=%d, ψ=%s\n",
-				c.positions, len(c.starter), skipSize, c.psi)
+				c.Positions, len(c.Starter), skipSize, c.Psi)
 		}
 	}
 	return strings.TrimRight(sb.String(), "\n")

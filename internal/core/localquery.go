@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/answer"
 	"repro/internal/fo"
 	"repro/internal/graph"
 )
@@ -121,6 +122,63 @@ func (q *LocalQuery) Validate() error {
 		}
 	}
 	return nil
+}
+
+// LiveClauses evaluates the clause guards (the ξ^i_τ sentences of
+// Theorem 5.4) on g and returns the indices of the clauses that survive,
+// ascending. Engines build answering structures for these clauses only.
+//
+//fod:ctxok the loop is over the query's clauses; each guard sentence is evaluated once per build, and the builders check their ctx around the call
+func (q *LocalQuery) LiveClauses(g *graph.Graph) []int {
+	var live []int
+	for ci := range q.Clauses {
+		if q.Guards != nil && q.Guards[ci] != nil {
+			gd := q.Guards[ci]
+			if fo.NewEvaluator(g).Eval(gd.Sentence, fo.Env{}) == gd.Negated {
+				continue
+			}
+		}
+		live = append(live, ci)
+	}
+	return live
+}
+
+// distRadius is the radius the distance index must answer: the type
+// threshold R and, on guarded queries, every distance constant inside the
+// component formulas, which may exceed R.
+func (q *LocalQuery) distRadius() int {
+	r := q.R
+	for ci := range q.Clauses {
+		for li := range q.Clauses[ci].Locals {
+			if d := fo.MaxDistConstant(q.Clauses[ci].Locals[li].Psi); d > r {
+				r = d
+			}
+		}
+	}
+	return r
+}
+
+// Runtime lays out the answering-phase form of the clause for arity k;
+// its components get IDs firstID, firstID+1, … in order.
+func (cl *Clause) Runtime(k, firstID int) *answer.Clause {
+	rt := &answer.Clause{Type: cl.Type, CompOf: make([]int, k), FirstOf: make([]int, k)}
+	for li := range cl.Locals {
+		lf := &cl.Locals[li]
+		c := &answer.Comp{
+			ID:        firstID + li,
+			Positions: lf.Positions,
+			Type:      cl.Type,
+			Psi:       lf.Psi,
+			Last:      lf.Positions[len(lf.Positions)-1],
+		}
+		for _, p := range lf.Positions {
+			c.Vars = append(c.Vars, PosVar(p))
+			rt.CompOf[p] = li
+			rt.FirstOf[p] = lf.Positions[0]
+		}
+		rt.Comps = append(rt.Comps, c)
+	}
+	return rt
 }
 
 // MakeClause builds a clause for the given distance type, deriving the

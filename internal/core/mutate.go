@@ -34,12 +34,13 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
+	"repro/internal/answer"
 	"repro/internal/cover"
 	"repro/internal/dist"
-	"repro/internal/fo"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/skip"
@@ -80,35 +81,15 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 	// Clause guards (the ξ^i_τ sentences of Theorem 5.4) are evaluated
 	// per version; if the edit flips any guard the clause set changes
 	// structurally and a patched engine has no frame to patch into.
-	if e.q.Guards != nil {
-		var live []int
-		for ci := range e.q.Clauses {
-			if gd := e.q.Guards[ci]; gd != nil {
-				holds := fo.NewEvaluator(gNew).Eval(gd.Sentence, fo.Env{})
-				if holds == gd.Negated {
-					continue
-				}
-			}
-			live = append(live, ci)
-		}
-		if !equalInts(live, e.liveIdx) {
-			return e.rebuilt(ctx, gNew, start)
-		}
+	if e.q.Guards != nil && !slices.Equal(e.q.LiveClauses(gNew), e.liveIdx) {
+		return e.rebuilt(ctx, gNew, start)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Distance index. distR is a function of the query alone, recomputed
-	// exactly as Preprocess derives it.
-	distR := e.r
-	for ci := range e.q.Clauses {
-		for li := range e.q.Clauses[ci].Locals {
-			if d := fo.MaxDistConstant(e.q.Clauses[ci].Locals[li].Psi); d > distR {
-				distR = d
-			}
-		}
-	}
+	// Distance index; its radius is a function of the query alone.
+	distR := e.q.distRadius()
 	dixNew, ok := dist.Patch(e.dix, gOld, gNew, edgeSrcs)
 	if !ok {
 		dixNew = dist.New(gNew, distR, dist.Options{Workers: e.stats.Workers})
@@ -127,17 +108,8 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 		return nil, err
 	}
 
-	e2 := &Engine{
-		g: gNew, q: e.q, k: e.k, r: e.r, rho: e.rho,
-		dix: dixNew, cov: covNew, obsReg: e.obsReg,
-	}
-	e2.gbfs = newScratchPool(gNew)
-	e2.evPool.New = func() any {
-		ev := fo.NewEvaluator(gNew)
-		ev.UseDistTester(e2.dix)
-		return ev
-	}
-	e2.envPool.New = func() any { return fo.Env{} }
+	e2 := newEngine(gNew, e.q, dixNew)
+	e2.cov = covNew
 	e2.liveIdx = append([]int(nil), e.liveIdx...)
 	e2.stats = Stats{
 		CoverRadius: e.stats.CoverRadius,
@@ -170,83 +142,67 @@ func (e *Engine) ApplyEdits(ctx context.Context, edits []graph.Edit) (*Engine, e
 	e2.stats.MutAffected = len(affected)
 
 	pool := par.NewPool(e.stats.Workers)
-	for _, rt := range e.clauses {
-		rt2 := &clauseRT{clause: rt.clause, compOf: rt.compOf, firstOf: rt.firstOf}
-		for _, c := range rt.comps {
-			c2, err := e2.patchComp(ctx, c, covNew, info, affected, pool)
+	for _, rt := range e.Clauses {
+		rt2 := &answer.Clause{Type: rt.Type, CompOf: rt.CompOf, FirstOf: rt.FirstOf}
+		for _, c := range rt.Comps {
+			c2, x2, err := e2.patchComp(ctx, c, e.caseI[c.ID], info, affected, pool)
 			if err != nil {
 				return nil, err
 			}
-			rt2.comps = append(rt2.comps, c2)
-			e2.stats.StarterSizes = append(e2.stats.StarterSizes, len(c2.starter))
-			if c2.skip != nil {
-				e2.stats.SkipPointers += c2.skip.Size()
+			rt2.Comps = append(rt2.Comps, c2)
+			e2.caseI = append(e2.caseI, x2)
+			e2.stats.StarterSizes = append(e2.stats.StarterSizes, len(c2.Starter))
+			if x2.skip != nil {
+				e2.stats.SkipPointers += x2.skip.Size()
 			}
 		}
-		e2.clauses = append(e2.clauses, rt2)
+		e2.Clauses = append(e2.Clauses, rt2)
 	}
 	e2.stats.MutWall = time.Since(start)
-	e2.exportInstruments(e.obsReg)
+	e2.exportInstruments(e.Obs())
 	return e2, nil
 }
 
 // patchComp derives the runtime of one component for the mutated engine:
 // re-test starters in the affected region, overlay (or rebuild) the skip
 // pointers, and resplice the per-kernel starter lists.
-func (e2 *Engine) patchComp(ctx context.Context, c *compRT, covNew *cover.Cover, info *cover.PatchInfo, affected []graph.V, pool *par.Pool) (*compRT, error) {
-	c2 := &compRT{
-		positions: c.positions,
-		typ:       c.typ,
-		psi:       c.psi,
-		vars:      c.vars,
-		last:      c.last,
-	}
+func (e2 *Engine) patchComp(ctx context.Context, c *answer.Comp, x caseI, info *cover.PatchInfo, affected []graph.V, pool *par.Pool) (*answer.Comp, caseI, error) {
+	c2 := &answer.Comp{ID: c.ID, Positions: c.Positions, Type: c.Type, Psi: c.Psi, Vars: c.Vars, Last: c.Last}
 	// Copy-on-write starter bitmap; only the affected slots are re-tested.
-	// starterReady stays false during the recompute so localEval cannot
-	// short-circuit through the half-updated bitmap.
-	c2.inStart = append([]bool(nil), c.inStart...)
-	singleton := len(c2.positions) == 1
+	// StarterReady stays false during the recompute so local evaluation
+	// cannot short-circuit through the half-updated bitmap.
+	c2.InStart = append([]bool(nil), c.InStart...)
 	pool.ForEach(len(affected), func(i int) {
-		v := affected[i]
-		if singleton {
-			c2.inStart[v] = e2.localEval(c2, []graph.V{v})
-		} else {
-			c2.inStart[v] = e2.completesComponent(c2, []graph.V{v})
-		}
+		c2.InStart[affected[i]] = e2.Opens(c2, affected[i])
 	})
 	var starterDiff []graph.V
 	for _, v := range affected {
-		if c.inStart[v] != c2.inStart[v] {
+		if c.InStart[v] != c2.InStart[v] {
 			starterDiff = append(starterDiff, v)
 		}
 	}
-	c2.starter = make([]graph.V, 0, len(c.starter)+len(starterDiff))
-	for v, in := range c2.inStart {
-		if in {
-			c2.starter = append(c2.starter, v)
-		}
-	}
-	c2.starterReady = singleton
+	c2.CollectStarter()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, caseI{}, err
 	}
 
 	// Skip pointers: overlay while the accumulated delta stays small,
 	// rebuild past the threshold (the overlay's scan cost is O(|delta|)).
+	var x2 caseI
 	if e2.k >= 2 {
 		delta := mergeSortedV(starterDiff, info.KernelDelta)
-		if c.skip != nil && c.skip.DeltaLen()+len(delta) <= skip.RebuildThreshold(e2.g.N()) {
-			c2.skip = c.skip.WithDelta(covNew, c2.starter, delta)
+		if x.skip != nil && x.skip.DeltaLen()+len(delta) <= skip.RebuildThreshold(e2.g.N()) {
+			x2.skip = x.skip.WithDelta(e2.cov, c2.Starter, delta)
 		} else {
-			c2.skip = skip.New(e2.g, covNew, e2.k-1, c2.starter)
+			x2.skip = skip.New(e2.g, e2.cov, e2.k-1, c2.Starter)
 		}
 	}
 
 	// byKernel rows change only for bags whose kernel changed, bags the
 	// patch created, and bags whose kernel contains a starter-diff vertex.
-	nb := covNew.NumBags()
-	c2.byKernel = make([][]graph.V, nb)
-	copy(c2.byKernel, c.byKernel)
+	nb := e2.cov.NumBags()
+	x2.byKernel = make([][]graph.V, nb)
+	copy(x2.byKernel, x.byKernel)
 	redo := make(map[int]bool, len(info.KernelChanged)+len(info.NewBags))
 	for _, b := range info.KernelChanged {
 		redo[b] = true
@@ -255,7 +211,7 @@ func (e2 *Engine) patchComp(ctx context.Context, c *compRT, covNew *cover.Cover,
 		redo[b] = true
 	}
 	for _, v := range starterDiff {
-		for _, b := range covNew.KernelsOf(v) {
+		for _, b := range e2.cov.KernelsOf(v) {
 			redo[int(b)] = true
 		}
 	}
@@ -266,14 +222,14 @@ func (e2 *Engine) patchComp(ctx context.Context, c *compRT, covNew *cover.Cover,
 	sort.Ints(redoList)
 	for _, b := range redoList {
 		var row []graph.V
-		for _, v := range covNew.Kernel(b) {
-			if c2.inStart[v] {
+		for _, v := range e2.cov.Kernel(b) {
+			if c2.InStart[v] {
 				row = append(row, v)
 			}
 		}
-		c2.byKernel[b] = row
+		x2.byKernel[b] = row
 	}
-	return c2, nil
+	return c2, x2, nil
 }
 
 // rebuilt is the full-Preprocess fallback, carrying the mutation counters
@@ -282,7 +238,7 @@ func (e *Engine) rebuilt(ctx context.Context, gNew *graph.Graph, start time.Time
 	e2, err := Preprocess(gNew, e.q, Options{
 		Parallelism: e.stats.Workers,
 		Ctx:         ctx,
-		Obs:         e.obsReg,
+		Obs:         e.Obs(),
 	})
 	if err != nil {
 		return nil, err
@@ -323,18 +279,6 @@ func effectiveTouch(gOld, gNew *graph.Graph, edits []graph.Edit) (edgeSrcs, colo
 	sort.Ints(edgeSrcs)
 	sort.Ints(colorChanged)
 	return edgeSrcs, colorChanged
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // mergeSortedV unions two sorted vertex lists.

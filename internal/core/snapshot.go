@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/cover"
 	"repro/internal/dist"
-	"repro/internal/fo"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/skip"
 )
@@ -57,15 +57,15 @@ func (e *Engine) SnapshotParts() EngineParts {
 		Cover:   e.cov.Parts(false),
 		Dist:    e.dix.Parts(),
 	}
-	for _, rt := range e.clauses {
-		comps := make([]CompParts, len(rt.comps))
-		for i, c := range rt.comps {
-			cp := CompParts{Starter: make([]int32, len(c.starter))}
-			for j, v := range c.starter {
+	for _, rt := range e.Clauses {
+		comps := make([]CompParts, len(rt.Comps))
+		for i, c := range rt.Comps {
+			cp := CompParts{Starter: make([]int32, len(c.Starter))}
+			for j, v := range c.Starter {
 				cp.Starter[j] = int32(v)
 			}
-			if c.skip != nil {
-				sp := c.skip.Parts()
+			if sk := e.caseI[c.ID].skip; sk != nil {
+				sp := sk.Parts()
 				cp.Skip = &sp
 			}
 			comps[i] = cp
@@ -91,11 +91,8 @@ func RestoreEngine(g *graph.Graph, q *LocalQuery, p EngineParts, opt Options) (*
 	if q.K > skip.MaxSetSize+1 {
 		return nil, fmt.Errorf("core: arity %d exceeds supported maximum %d", q.K, skip.MaxSetSize+1)
 	}
-	e := &Engine{g: g, q: q, k: q.K, r: q.R, rho: q.LocalRadius, obsReg: opt.Obs}
 	workers := par.Resolve(opt.Parallelism)
 	pool := par.NewPool(workers).WithMetrics(par.NewMetrics(opt.Obs, "engine.pool"))
-	e.stats.Workers = workers
-	e.gbfs = newScratchPool(g)
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -105,63 +102,31 @@ func RestoreEngine(g *graph.Graph, q *LocalQuery, p EngineParts, opt Options) (*
 	// request paid for a disk load or a full build.
 	root := opt.Obs.StartSpan(ctx, "restore")
 
-	distR := e.r
-	for ci := range q.Clauses {
-		for li := range q.Clauses[ci].Locals {
-			if d := fo.MaxDistConstant(q.Clauses[ci].Locals[li].Psi); d > distR {
-				distR = d
-			}
-		}
-	}
 	sp := root.Child("dist")
 	dix, err := dist.FromParts(g, p.Dist)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	if dix.R != distR {
+	if distR := q.distRadius(); dix.R != distR {
 		return nil, fmt.Errorf("core: snapshot distance index has radius %d, query needs %d", dix.R, distR)
 	}
-	e.dix = dix
-	e.evPool.New = func() any {
-		ev := fo.NewEvaluator(g)
-		ev.UseDistTester(e.dix)
-		return ev
-	}
-	e.envPool.New = func() any { return fo.Env{} }
+	e := newEngine(g, q, dix)
+	e.stats.Workers = workers
 
-	coverR := 2 * e.r
-	if !q.Guarded {
-		if alt := e.r*e.k + e.rho; alt > coverR {
-			coverR = alt
-		}
-	}
 	sp = root.Child("cover")
 	cov, err := cover.FromPartsObs(g, p.Cover, opt.Obs)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	if cov.R != coverR {
+	if coverR := q.coverRadius(); cov.R != coverR {
 		return nil, fmt.Errorf("core: snapshot cover has radius %d, query needs %d", cov.R, coverR)
 	}
 	if cov.KernelP() != e.r {
 		return nil, fmt.Errorf("core: snapshot kernels have radius %d, query needs %d", cov.KernelP(), e.r)
 	}
-	e.cov = cov
-	e.stats.CoverRadius = coverR
-	e.stats.CoverBags = cov.NumBags()
-	e.stats.CoverDegree = cov.Degree()
-
-	if !q.Guarded {
-		e.bagSubs = par.Map(pool, cov.NumBags(), func(i int) *graph.Sub {
-			return graph.Induce(g, cov.Bag(i))
-		})
-		e.bagBFS = make([]*scratchPool, len(e.bagSubs))
-		for i := range e.bagBFS {
-			e.bagBFS[i] = newScratchPool(e.bagSubs[i].G)
-		}
-	}
+	e.setCover(cov, pool)
 
 	if len(p.LiveIdx) != len(p.Clauses) {
 		return nil, fmt.Errorf("core: snapshot has %d live indices for %d clause payloads", len(p.LiveIdx), len(p.Clauses))
@@ -174,12 +139,10 @@ func RestoreEngine(g *graph.Graph, q *LocalQuery, p EngineParts, opt Options) (*
 			return nil, fmt.Errorf("core: snapshot live-clause indices not increasing within the query's %d clauses", len(q.Clauses))
 		}
 		prev = ci
-		rt, err := e.restoreClause(&q.Clauses[ci], p.Clauses[i], pool)
-		if err != nil {
+		if err := e.restoreClause(&q.Clauses[ci], p.Clauses[i], pool, opt.Obs); err != nil {
 			sp.End()
 			return nil, fmt.Errorf("core: clause %d: %w", ci, err)
 		}
-		e.clauses = append(e.clauses, rt)
 		e.liveIdx = append(e.liveIdx, ci)
 	}
 	sp.End()
@@ -190,60 +153,44 @@ func RestoreEngine(g *graph.Graph, q *LocalQuery, p EngineParts, opt Options) (*
 
 // restoreClause mirrors buildClause with the starter evaluation and SC
 // sweep replaced by snapshot data.
-func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool) (*clauseRT, error) {
+func (e *Engine) restoreClause(cl *Clause, parts []CompParts, pool *par.Pool, reg *obs.Registry) error {
 	if len(parts) != len(cl.Locals) {
-		return nil, fmt.Errorf("%d component payloads for %d components", len(parts), len(cl.Locals))
+		return fmt.Errorf("%d component payloads for %d components", len(parts), len(cl.Locals))
 	}
-	rt := &clauseRT{
-		clause:  cl,
-		compOf:  make([]int, e.k),
-		firstOf: make([]int, e.k),
-	}
-	for li := range cl.Locals {
-		lf := &cl.Locals[li]
+	rt := cl.Runtime(e.k, len(e.caseI))
+	for li, c := range rt.Comps {
 		cp := &parts[li]
-		c := &compRT{
-			positions: lf.Positions,
-			typ:       cl.Type,
-			psi:       lf.Psi,
-			last:      lf.Positions[len(lf.Positions)-1],
-		}
-		for _, p := range lf.Positions {
-			c.vars = append(c.vars, PosVar(p))
-			rt.compOf[p] = li
-			rt.firstOf[p] = lf.Positions[0]
-		}
-		c.inStart = make([]bool, e.g.N())
-		c.starter = make([]graph.V, len(cp.Starter))
+		c.InStart = make([]bool, e.g.N())
+		c.Starter = make([]graph.V, len(cp.Starter))
 		prev := int32(-1)
 		for i, v := range cp.Starter {
 			if v <= prev || int(v) >= e.g.N() {
-				return nil, fmt.Errorf("component %d starter list not a sorted vertex list", li)
+				return fmt.Errorf("component %d starter list not a sorted vertex list", li)
 			}
 			prev = v
-			c.starter[i] = int(v)
-			c.inStart[v] = true
+			c.Starter[i] = int(v)
+			c.InStart[v] = true
 		}
-		if len(c.positions) == 1 {
-			c.starterReady = true
-		}
-		e.stats.StarterSizes = append(e.stats.StarterSizes, len(c.starter))
+		c.StarterReady = len(c.Positions) == 1
+		e.stats.StarterSizes = append(e.stats.StarterSizes, len(c.Starter))
+		var x caseI
 		if e.k >= 2 {
 			if cp.Skip == nil {
-				return nil, fmt.Errorf("component %d misses its skip table (arity %d)", li, e.k)
+				return fmt.Errorf("component %d misses its skip table (arity %d)", li, e.k)
 			}
 			if cp.Skip.K != e.k-1 {
-				return nil, fmt.Errorf("component %d skip table has set size %d, arity needs %d", li, cp.Skip.K, e.k-1)
+				return fmt.Errorf("component %d skip table has set size %d, arity needs %d", li, cp.Skip.K, e.k-1)
 			}
-			sk, err := skip.FromPartsObs(e.cov, c.starter, *cp.Skip, e.obsReg)
+			sk, err := skip.FromPartsObs(e.cov, c.Starter, *cp.Skip, reg)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			c.skip = sk
+			x.skip = sk
 			e.stats.SkipPointers += sk.Size()
 		}
-		e.buildKernelLists(c, pool)
-		rt.comps = append(rt.comps, c)
+		x.byKernel = e.kernelLists(c.InStart, pool)
+		e.caseI = append(e.caseI, x)
 	}
-	return rt, nil
+	e.Clauses = append(e.Clauses, rt)
+	return nil
 }

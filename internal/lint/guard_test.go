@@ -58,9 +58,11 @@ func TestSelfLintClean(t *testing.T) {
 // TestHotClosureMatchesAllocGuards pins the agreement between the two
 // halves of the delay-bound check: every function a dynamic
 // AllocsPerRun guard pins at 0 allocs/op must be a member of the static
-// //fod:hotpath closure, in both engines. If one of these drops out of
-// the closure, hotpath-transitive has silently stopped checking a
-// function the benchmarks still rely on.
+// //fod:hotpath closure. Both engines answer through the shared skeleton
+// of internal/answer, so the guards reach its primitives plus each
+// engine's oracle methods (through the skeleton's Oracle interface). If
+// one of these drops out of the closure, hotpath-transitive has silently
+// stopped checking a function the benchmarks still rely on.
 func TestHotClosureMatchesAllocGuards(t *testing.T) {
 	lint2Gate(t)
 	_, pkgs := loadModule(t)
@@ -68,20 +70,24 @@ func TestHotClosureMatchesAllocGuards(t *testing.T) {
 	closure := HotClosure(prog)
 
 	pinned := []struct{ pkgFrag, name string }{
-		// internal/core LINT_GUARD suite: Iterator.Next, Engine.Test,
-		// Engine.NextLast and the primitives under them.
-		{"internal/core", "Next"},
-		{"internal/core", "nextGeq"},
-		{"internal/core", "nextLast"},
-		{"internal/core", "test"},
-		{"internal/core", "localEval"},
-		// internal/lowdeg LOWDEG_GUARD suite: same contract on the
-		// low-degree engine.
-		{"internal/lowdeg", "Next"},
-		{"internal/lowdeg", "nextGeq"},
-		{"internal/lowdeg", "nextLast"},
-		{"internal/lowdeg", "test"},
-		{"internal/lowdeg", "localEval"},
+		// internal/answer: Iterator.Next, Test and NextLast of both the
+		// LINT_GUARD (core) and LOWDEG_GUARD (lowdeg) suites, and the
+		// skeleton primitives under them.
+		{"internal/answer", "Next"},
+		{"internal/answer", "nextGeq"},
+		{"internal/answer", "nextLast"},
+		{"internal/answer", "test"},
+		{"internal/answer", "localEval"},
+		// internal/core oracle: the Proposition 4.2 distance test and the
+		// skip-pointer Case I the LINT_GUARD suite runs through.
+		{"internal/core", "Within"},
+		{"internal/core", "Opening"},
+		{"internal/core", "farFromAll"},
+		// internal/lowdeg oracle: the ball-row distance test and the
+		// bounded starter scan the LOWDEG_GUARD suite runs through.
+		{"internal/lowdeg", "Within"},
+		{"internal/lowdeg", "Opening"},
+		{"internal/lowdeg", "farFromAll"},
 	}
 	for _, p := range pinned {
 		n := prog.LookupFunc(p.pkgFrag, p.name)

@@ -22,8 +22,12 @@ import (
 // promises one deterministic response envelope per request (stats and
 // query listings must not shuffle between calls), and the snapshot codec
 // promises byte-identical files for identical indexes — any map fold on
-// either path must be sorted or provably order-free.
+// either path must be sorted or provably order-free. internal/answer
+// joined when the engines' shared answering skeleton moved there: its
+// counting groups clauses through a map, exactly as the engine copies
+// did.
 var mapOrderScope = []string{
+	"internal/answer",
 	"internal/core",
 	"internal/cover",
 	"internal/dist",

@@ -18,9 +18,10 @@
 // the scan succeeds or leaves the obstruction — constant delay for
 // constant d.
 //
-// The engine answers through the same contract as core.Engine (NextGeq,
-// NextGt, NextLast, Test, Enumerate, Count, FastCount, Iterator) and is
-// differential-tested against it and the naive oracle by the
+// The engine answers through the same skeleton as core.Engine
+// (internal/answer: NextGeq, NextGt, NextLast, Test, Enumerate, Count,
+// FastCount, Iterator) — it supplies only the oracle above — and is
+// differential-tested against core and the naive oracle by the
 // internal/conform battery; queries are consumed in the identical
 // decomposed LocalQuery form, so the two engines are interchangeable
 // behind the repro facade.
@@ -29,10 +30,11 @@ package lowdeg
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
+	"repro/internal/answer"
 	"repro/internal/core"
 	"repro/internal/fo"
 	"repro/internal/graph"
@@ -74,20 +76,17 @@ type Stats struct {
 	StarterWall time.Duration // wall time of starter-list computation
 }
 
-// counters holds the answering-phase statistics as atomic instruments so
-// concurrent queries can bump them without a lock.
-type counters struct {
-	candidates    obs.Counter
-	deadEnds      obs.Counter
-	localEvals    obs.Counter
-	localEvalHits obs.Counter
-}
-
 // Engine is the preprocessed low-degree structure for one graph and one
 // LocalQuery. Preprocess must complete before use; afterwards the
 // answering methods are safe for concurrent use (pooled BFS scratch,
 // concurrent memo maps, atomic counters).
+//
+// The answering phase is the shared skeleton of internal/answer; the
+// engine is its oracle: distance tests and Case II rows from the sorted
+// ball CSRs, and Case I as a bounded forward scan of the starter list.
 type Engine struct {
+	answer.Skeleton
+
 	g   *graph.Graph
 	q   *core.LocalQuery
 	k   int
@@ -106,40 +105,8 @@ type Engine struct {
 	ballCOff []int32
 	ballCAdj []int32
 
-	clauses []*clauseRT
-	liveIdx []int // indices into q.Clauses of guard-surviving clauses
-
-	bfsPool sync.Pool // *graph.BFS on g, for local evaluations
-	evPool  sync.Pool // *fo.Evaluator on g, for guarded local evaluations
-	envPool sync.Pool // fo.Env scratch for guarded local evaluations
-
-	opt    Options // retained for the ApplyEdits rebuild path
-	stats  Stats
-	ctr    counters
-	obsReg *obs.Registry
-}
-
-// clauseRT is the runtime form of one clause.
-type clauseRT struct {
-	clause  *core.Clause
-	comps   []*compRT
-	compOf  []int // position -> index into comps
-	firstOf []int // position -> earliest position of its component
-}
-
-// compRT is the runtime form of one component formula.
-type compRT struct {
-	positions []int
-	typ       *fo.DistType
-	psi       fo.Formula
-	vars      []fo.Var // PosVar of each position, aligned with positions
-	last      int      // max position (where ψ gets tested)
-
-	starter      []graph.V // sorted vertices that can open the component
-	inStart      []bool    // membership, indexed by vertex
-	starterReady bool      // singleton component: inStart is the solution set
-
-	memo sync.Map // tupleKey -> bool, local evaluation memo
+	opt   Options // retained for the ApplyEdits rebuild path
+	stats Stats
 }
 
 // Preprocess builds the low-degree index: sorted per-vertex balls and
@@ -164,10 +131,8 @@ func Preprocess(g *graph.Graph, q *core.LocalQuery, opt Options) (*Engine, error
 	if err := checkpoint(); err != nil {
 		return nil, err
 	}
-	e := &Engine{g: g, q: q, k: q.K, r: q.R, rho: q.LocalRadius, opt: opt, obsReg: opt.Obs}
-	e.bfsPool.New = func() any { return graph.NewBFS(g) }
-	e.evPool.New = func() any { return fo.NewEvaluator(g) }
-	e.envPool.New = func() any { return fo.Env{} }
+	e := &Engine{g: g, q: q, k: q.K, r: q.R, rho: q.LocalRadius, opt: opt}
+	e.Setup(e, g, q.K, q.LocalRadius, q.Guarded, func() *fo.Evaluator { return fo.NewEvaluator(g) })
 	workers := par.Resolve(opt.Parallelism)
 	pool := par.NewPool(workers)
 	e.stats.Workers = workers
@@ -193,26 +158,20 @@ func Preprocess(g *graph.Graph, q *core.LocalQuery, opt Options) (*Engine, error
 		return nil, err
 	}
 
-	// Evaluate guards once (the ξ^i_τ sentences of Theorem 5.4) and drop
-	// failing clauses, exactly as the core engine does.
-	var live []core.Clause
-	for ci := range q.Clauses {
-		if q.Guards != nil && q.Guards[ci] != nil {
-			gd := q.Guards[ci]
-			holds := fo.NewEvaluator(g).Eval(gd.Sentence, fo.Env{})
-			if holds == gd.Negated {
-				continue
-			}
-		}
-		e.liveIdx = append(e.liveIdx, ci)
-		live = append(live, q.Clauses[ci])
-	}
-
-	for ci := range live {
+	// Evaluate guards once and drop failing clauses, exactly as the core
+	// engine does; then compute the starter list of every component.
+	for _, ci := range q.LiveClauses(g) {
 		if err := checkpoint(); err != nil {
 			return nil, err
 		}
-		e.clauses = append(e.clauses, e.buildClause(&live[ci], pool))
+		start := time.Now()
+		rt := q.Clauses[ci].Runtime(e.k, len(e.stats.StarterSizes))
+		for _, c := range rt.Comps {
+			e.ComputeStarter(c, pool.ForEach)
+			e.stats.StarterSizes = append(e.stats.StarterSizes, len(c.Starter))
+		}
+		e.Clauses = append(e.Clauses, rt)
+		e.stats.StarterWall += time.Since(start)
 	}
 	e.exportInstruments(opt.Obs)
 	return e, nil
@@ -230,10 +189,8 @@ func ballCSR(g *graph.Graph, r int, pool *par.Pool) ([]int32, []int32) {
 		scratch[w] = graph.NewBFS(g)
 	}
 	pool.ForEachWorker(n, func(wk, v int) {
-		ball := scratch[wk].BallMulti([]graph.V{v}, r)
-		row := make([]int32, len(ball))
-		copy(row, ball)
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		row := append([]int32(nil), scratch[wk].Ball(v, r)...)
+		slices.Sort(row)
 		rows[v] = row
 	})
 	off := make([]int32, n+1)
@@ -249,179 +206,16 @@ func ballCSR(g *graph.Graph, r int, pool *par.Pool) ([]int32, []int32) {
 	return off, adj
 }
 
-func (e *Engine) buildClause(cl *core.Clause, pool *par.Pool) *clauseRT {
-	rt := &clauseRT{
-		clause:  cl,
-		compOf:  make([]int, e.k),
-		firstOf: make([]int, e.k),
-	}
-	start := time.Now()
-	for li := range cl.Locals {
-		lf := &cl.Locals[li]
-		c := &compRT{
-			positions: lf.Positions,
-			typ:       cl.Type,
-			psi:       lf.Psi,
-			last:      lf.Positions[len(lf.Positions)-1],
-		}
-		for _, p := range lf.Positions {
-			c.vars = append(c.vars, core.PosVar(p))
-			rt.compOf[p] = li
-			rt.firstOf[p] = lf.Positions[0]
-		}
-		e.computeStarter(c, pool)
-		e.stats.StarterSizes = append(e.stats.StarterSizes, len(c.starter))
-		rt.comps = append(rt.comps, c)
-	}
-	e.stats.StarterWall += time.Since(start)
-	return rt
-}
+// Within is the oracle's distance test: dist_G(a, b) ≤ R by binary search
+// in the sorted ball row of a — the low-degree replacement for
+// dist.Index.Within.
+//
+//fod:hotpath
+func (e *Engine) Within(a, b graph.V) bool { return e.within(a, b) }
 
-// computeStarter fills c.starter: the vertices that can take the
-// component's first position. Singleton components get the full unary
-// solution list (starterReady: later evaluations answer from the bitmap
-// in O(1)); multi-position components search the R(k−1)-ball around each
-// vertex for a completion respecting the internal distance pattern.
-func (e *Engine) computeStarter(c *compRT, pool *par.Pool) {
-	c.inStart = make([]bool, e.g.N())
-	pool.ForEach(e.g.N(), func(v int) {
-		if len(c.positions) == 1 {
-			c.inStart[v] = e.localEval(c, []graph.V{v})
-		} else {
-			c.inStart[v] = e.completesComponent(c, []graph.V{v})
-		}
-	})
-	for v, in := range c.inStart {
-		if in {
-			c.starter = append(c.starter, v)
-		}
-	}
-	if len(c.positions) == 1 {
-		c.starterReady = true
-	}
-}
-
-// completesComponent reports whether the partial component assignment
-// (values for c.positions[:len(vals)]) extends to a full local solution,
-// searching candidates in the R(k−1)-ball of the first value — which
-// contains every completion, since component positions are chained by
-// close edges of length ≤ R.
-func (e *Engine) completesComponent(c *compRT, vals []graph.V) bool {
-	if len(vals) == len(c.positions) {
-		return e.checkComponentType(c, vals) && e.localEval(c, vals)
-	}
-	row := e.ballCRow(vals[0])
-	for _, w32 := range row {
-		w := graph.V(w32)
-		if e.partialTypeOK(c, vals, w) && e.completesComponent(c, append(vals, w)) {
-			return true
-		}
-	}
-	return false
-}
-
-// partialTypeOK checks the distance-type edges between the prospective
-// value w (for position c.positions[len(vals)]) and the placed values.
-func (e *Engine) partialTypeOK(c *compRT, vals []graph.V, w graph.V) bool {
-	pj := c.positions[len(vals)]
-	for i, v := range vals {
-		pi := c.positions[i]
-		if e.within(v, w) != c.typ.Close(pi, pj) {
-			return false
-		}
-	}
-	return true
-}
-
-// checkComponentType re-verifies all internal type edges of the component.
-func (e *Engine) checkComponentType(c *compRT, vals []graph.V) bool {
-	for i := range vals {
-		for j := i + 1; j < len(vals); j++ {
-			if e.within(vals[i], vals[j]) != c.typ.Close(c.positions[i], c.positions[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// localEval evaluates ψ_I(ā_I) with memoization, branching exactly as the
-// core engine does: compiler-certified (Guarded) queries evaluate over
-// the global graph with quantifiers restricted to the ρ-ball domain (no
-// subgraph construction — every quantifier is witness-guarded within ρ,
-// so the two semantics agree); hand-built queries get the literal
-// G[N_ρ(ā_I)] induced-subgraph semantics of core.EvalReference.
-func (e *Engine) localEval(c *compRT, vals []graph.V) bool {
-	if c.starterReady && len(vals) == 1 {
-		return c.inStart[vals[0]]
-	}
-	//fod:coldpath memo key of the general-component path — singleton components (the pinned 0-alloc guards) take the starterReady fast path above
-	key := tupleKey(vals)
-	if r, ok := c.memo.Load(key); ok {
-		e.ctr.localEvalHits.Add(1)
-		return r.(bool)
-	}
-	e.ctr.localEvals.Add(1)
-	var res bool
-	if e.q.Guarded {
-		bfs := e.bfsPool.Get().(*graph.BFS)
-		ball := bfs.BallMulti(vals, e.rho)
-		domain := make([]graph.V, len(ball))
-		for i, w := range ball {
-			domain[i] = int(w)
-		}
-		e.bfsPool.Put(bfs)
-		env := e.envPool.Get().(fo.Env)
-		clear(env)
-		for i, v := range vals {
-			env[c.vars[i]] = v
-		}
-		ev := e.evPool.Get().(*fo.Evaluator)
-		res = ev.EvalOver(c.psi, env, domain)
-		e.evPool.Put(ev)
-		e.envPool.Put(env)
-	} else {
-		// Hand-built (uncertified) queries only: the pinned 0-alloc delay
-		// guards all run compiler-certified queries, and the memo above
-		// makes this a once-per-tuple cost, not a per-answer one.
-		//fod:coldpath memoized fallback for uncertified queries
-		res = e.exactBallEval(c, vals)
-	}
-	c.memo.Store(key, res)
-	return res
-}
-
-func (e *Engine) exactBallEval(c *compRT, vals []graph.V) bool {
-	bfs := e.bfsPool.Get().(*graph.BFS)
-	ball := bfs.BallMulti(vals, e.rho)
-	vs := make([]graph.V, len(ball))
-	for i, w := range ball {
-		vs[i] = int(w)
-	}
-	e.bfsPool.Put(bfs)
-	sub := graph.Induce(e.g, vs)
-	ev := fo.NewCachedEvaluator(sub.G)
-	env := fo.Env{}
-	for i, v := range vals {
-		env[c.vars[i]] = sub.Local(v)
-	}
-	return ev.Eval(c.psi, env)
-}
-
-func tupleKey(vals []graph.V) string {
-	b := make([]byte, 0, len(vals)*5)
-	for _, v := range vals {
-		for v >= 0x80 {
-			b = append(b, byte(v)|0x80)
-			v >>= 7
-		}
-		b = append(b, byte(v))
-	}
-	return string(b)
-}
-
-// within reports dist_G(a, b) ≤ R by binary search in the sorted ball row
-// of a — the low-degree replacement for dist.Index.Within.
+// within is Within written out small enough for the compiler to inline
+// it into the Case I scan (farFromAll), where it runs once per rejected
+// starter.
 //
 //fod:hotpath
 func (e *Engine) within(a, b graph.V) bool {
@@ -441,46 +235,90 @@ func (e *Engine) within(a, b graph.V) bool {
 	return lo < len(row) && row[lo] == int32(b)
 }
 
-// ballCRow returns the sorted radius-R(k−1) ball of v.
+// Opening is the oracle's Case I: the candidate must come from the
+// starter list at distance > R from every prefix element. On a degree-d
+// graph no skip pointers are needed: every rejected starter lies in the
+// R-ball of one of the ≤ k−1 prefix elements, so the forward scan skips
+// at most (k−1)·d^R entries before succeeding or clearing the
+// obstruction — constant delay for constant d.
 //
 //fod:hotpath
-func (e *Engine) ballCRow(v graph.V) []int32 {
+func (e *Engine) Opening(c *answer.Comp, prefix []graph.V, lower graph.V) graph.V {
+	for i := sort.SearchInts(c.Starter, lower); i < len(c.Starter); i++ {
+		v := c.Starter[i]
+		if e.farFromAll(v, prefix) {
+			return v
+		}
+	}
+	return -1
+}
+
+//fod:hotpath
+func (e *Engine) farFromAll(v graph.V, prefix []graph.V) bool {
+	for _, p := range prefix {
+		if e.within(v, p) {
+			return false
+		}
+	}
+	return true
+}
+
+// CompBall is the oracle's Case II row: the sorted radius-R(k−1) ball of
+// v, at most d^{R(k−1)}+1 entries.
+//
+//fod:hotpath
+func (e *Engine) CompBall(v graph.V) []int32 {
 	return e.ballCAdj[e.ballCOff[v]:e.ballCOff[v+1]]
+}
+
+// BallR is the oracle's sorted radius-R ball of v.
+//
+//fod:hotpath
+func (e *Engine) BallR(v graph.V) []int32 {
+	return e.ballRAdj[e.ballROff[v]:e.ballROff[v+1]]
+}
+
+// ExactEval is the literal G[N_ρ(ā_I)] induced-subgraph semantics of
+// core.EvalReference, for hand-built (uncertified) queries.
+//
+//fod:ctxok one evaluation over the ρ-ball of ≤ k component values, memoized per tuple by the skeleton
+func (e *Engine) ExactEval(c *answer.Comp, vals []graph.V) bool {
+	bfs := e.BFS()
+	ball := bfs.BallMulti(vals, e.rho)
+	vs := make([]graph.V, len(ball))
+	for i, w := range ball {
+		vs[i] = int(w)
+	}
+	e.PutBFS(bfs)
+	sub := graph.Induce(e.g, vs)
+	ev := fo.NewCachedEvaluator(sub.G)
+	env := fo.Env{}
+	for i, v := range vals {
+		env[c.Vars[i]] = sub.Local(v)
+	}
+	return ev.Eval(c.Psi, env)
 }
 
 // exportInstruments registers the engine's counters and structural gauges
 // in reg; a nil registry leaves the engine uninstrumented.
 func (e *Engine) exportInstruments(reg *obs.Registry) {
+	e.Instrument(reg, "lowdeg")
 	if reg == nil {
 		return
 	}
-	reg.RegisterCounter("lowdeg.candidates", &e.ctr.candidates)
-	reg.RegisterCounter("lowdeg.dead_ends", &e.ctr.deadEnds)
-	reg.RegisterCounter("lowdeg.local_evals", &e.ctr.localEvals)
-	reg.RegisterCounter("lowdeg.local_eval_hits", &e.ctr.localEvalHits)
 	reg.Gauge("lowdeg.workers").Set(int64(e.stats.Workers))
 	reg.Gauge("lowdeg.max_degree").Set(int64(e.stats.MaxDegree))
 	reg.Gauge("lowdeg.ball_entries").Set(int64(e.stats.BallEntries))
-	reg.Gauge("lowdeg.clauses").Set(int64(len(e.clauses)))
+	reg.Gauge("lowdeg.clauses").Set(int64(len(e.Clauses)))
 }
 
 // Stats returns an isolated snapshot of the current statistics.
 func (e *Engine) Stats() Stats {
 	s := e.stats
 	s.StarterSizes = append([]int(nil), e.stats.StarterSizes...)
-	s.Candidates = int(e.ctr.candidates.Load())
-	s.DeadEnds = int(e.ctr.deadEnds.Load())
-	s.LocalEvals = int(e.ctr.localEvals.Load())
-	s.LocalEvalHits = int(e.ctr.localEvalHits.Load())
+	s.Candidates, s.DeadEnds, s.LocalEvals, s.LocalEvalHits = e.Counters()
 	return s
 }
-
-// Obs returns the registry the engine records into (nil when built
-// without Options.Obs).
-func (e *Engine) Obs() *obs.Registry { return e.obsReg }
-
-// Graph returns the underlying graph.
-func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // Query returns the query the engine was built for.
 func (e *Engine) Query() *core.LocalQuery { return e.q }
@@ -511,10 +349,10 @@ func (e *Engine) Explain() string {
 	s += fmt.Sprintf("  graph: n=%d m=%d maxdeg=%d\n", e.g.N(), e.g.M(), e.stats.MaxDegree)
 	s += fmt.Sprintf("  balls: radius %d (%d entries), completion radius %d (%d entries)\n",
 		e.stats.BallRadius, e.stats.BallEntries, e.stats.CompRadius, e.stats.CompEntries)
-	for ci, rt := range e.clauses {
-		s += fmt.Sprintf("  clause %d: type %s\n", ci, rt.clause.Type)
-		for _, c := range rt.comps {
-			s += fmt.Sprintf("    component %v: |starter|=%d psi=%s\n", c.positions, len(c.starter), c.psi)
+	for ci, rt := range e.Clauses {
+		s += fmt.Sprintf("  clause %d: type %s\n", ci, rt.Type)
+		for _, c := range rt.Comps {
+			s += fmt.Sprintf("    component %v: |starter|=%d psi=%s\n", c.Positions, len(c.Starter), c.Psi)
 		}
 	}
 	return s

@@ -3,7 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
-
+	"fmt"
 	"sync"
 
 	"repro"
@@ -30,7 +30,10 @@ type cacheKey struct {
 // context error); when the last waiter of a flight has left, the build
 // itself is canceled through the core's phase checkpoints. Successful
 // builds are inserted even if every waiter has gone — the work is done,
-// the next request should profit.
+// the next request should profit. A canceled flight is unlinked at once,
+// so a retry starts a fresh build instead of joining the dying one, and a
+// panic anywhere under a flight becomes that flight's error instead of
+// taking the process down.
 type indexCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -68,6 +71,7 @@ type indexCache struct {
 	snapHits   obs.Counter // memory misses served from the disk tier
 	snapWrites obs.Counter // snapshots written back after a build
 	migrations obs.Counter // misses served by ApplyEdits from an older version
+	panics     obs.Counter // flights whose build, migration or snapshot load panicked
 	size       obs.Gauge
 }
 
@@ -107,6 +111,7 @@ func newIndexCache(baseCtx context.Context, capacity int, reg *obs.Registry,
 		reg.RegisterCounter("serve.cache.snapshot_hits", &c.snapHits)
 		reg.RegisterCounter("serve.cache.snapshot_writes", &c.snapWrites)
 		reg.RegisterCounter("serve.cache.migrations", &c.migrations)
+		reg.RegisterCounter("serve.cache.build_panics", &c.panics)
 		reg.RegisterGauge("serve.cache.size", &c.size)
 	}
 	return c
@@ -172,7 +177,13 @@ func (c *indexCache) lookup(ctx context.Context, key cacheKey) (ix *repro.Index,
 			select {
 			case <-f.done: // build already finished; nothing to cancel
 			default:
+				// Unlink the dying flight under the same lock, so a retry
+				// arriving before run returns starts a fresh build
+				// instead of inheriting this one's cancellation.
 				f.cancel()
+				if c.flights[key] == f {
+					delete(c.flights, key)
+				}
 			}
 		}
 		c.mu.Unlock()
@@ -180,11 +191,42 @@ func (c *indexCache) lookup(ctx context.Context, key cacheKey) (ix *repro.Index,
 	}
 }
 
+// run executes one flight and publishes its outcome to the waiters. A
+// panic in any tier is recovered into the flight's error (every waiter
+// gets a 500 through writeCacheErr), and the flight is still completed
+// and unlinked, so the key stays buildable.
 func (c *indexCache) run(ctx context.Context, key cacheKey, f *flight) {
 	fl := c.reg.StartSpan(ctx, "cache.flight")
-	ctx = fl.Attach(ctx)
-	var ix *repro.Index
-	var err error
+	ix, err := c.produce(fl.Attach(ctx), key)
+	fl.End()
+	f.cancel() // release the context's resources
+	c.mu.Lock()
+	f.ix, f.err = ix, err
+	if c.flights[key] == f { // a canceled flight is already unlinked
+		delete(c.flights, key)
+	}
+	if err == nil {
+		c.insertLocked(key, ix)
+	}
+	c.mu.Unlock()
+	// Wake the waiters only after the lock is dropped: close wakes every
+	// blocked lookup at once, and each of them immediately re-takes c.mu —
+	// closing inside the section would stampede them straight into the
+	// held lock. f.ix/f.err are written before the close in program order,
+	// so waiters still observe them.
+	close(f.done)
+}
+
+// produce runs the tiers in order: disk snapshot, migration from an older
+// version, full build (with snapshot write-back). A panic in any of them
+// is recovered into the returned error.
+func (c *indexCache) produce(ctx context.Context, key cacheKey) (ix *repro.Index, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			c.panics.Inc()
+			ix, err = nil, fmt.Errorf("serve: index build for %q panicked: %v", key.canonical, p)
+		}
+	}()
 	fromDisk := false
 	if c.loadSnap != nil {
 		sp := c.reg.StartSpan(ctx, "cache.snapshot_load")
@@ -219,21 +261,7 @@ func (c *indexCache) run(ctx context.Context, key cacheKey, f *flight) {
 			}
 		}
 	}
-	fl.End()
-	f.cancel() // release the context's resources
-	c.mu.Lock()
-	f.ix, f.err = ix, err
-	delete(c.flights, key)
-	if err == nil {
-		c.insertLocked(key, ix)
-	}
-	c.mu.Unlock()
-	// Wake the waiters only after the lock is dropped: close wakes every
-	// blocked lookup at once, and each of them immediately re-takes c.mu —
-	// closing inside the section would stampede them straight into the
-	// held lock. f.ix/f.err are written before the close in program order,
-	// so waiters still observe them.
-	close(f.done)
+	return ix, err
 }
 
 func (c *indexCache) insertLocked(key cacheKey, ix *repro.Index) {

@@ -5,6 +5,8 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -140,6 +142,103 @@ func TestCacheBuildCanceledWhenAllWaitersLeave(t *testing.T) {
 	}
 }
 
+// TestCacheRetryAfterCancelStartsFreshBuild: once the last waiter of a
+// flight has left, the canceled flight is unlinked at once. A retry that
+// arrives while the canceled build is still winding down starts a second
+// build and succeeds, instead of joining the dying flight and inheriting
+// its cancellation.
+func TestCacheRetryAfterCancelStartsFreshBuild(t *testing.T) {
+	ix := stubIndex(t)
+	var builds atomic.Int64
+	sawCancel := make(chan struct{})
+	gate := make(chan struct{})
+	defer close(gate)
+	c := newIndexCache(context.Background(), 4, nil, func(ctx context.Context, key cacheKey) (*repro.Index, error) {
+		if builds.Add(1) == 1 {
+			<-ctx.Done()
+			close(sawCancel)
+			<-gate // still winding down when the retry arrives
+			return nil, ctx.Err()
+		}
+		return ix, nil
+	})
+	key := cacheKey{graph: "g", canonical: "q"}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, _, err := c.Get(ctx, key); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiter error %v, want DeadlineExceeded", err)
+	}
+	select {
+	case <-sawCancel:
+	case <-time.After(2 * time.Second):
+		t.Fatal("build context was never canceled")
+	}
+	rctx, rcancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer rcancel()
+	got, hit, err := c.Get(rctx, key)
+	if err != nil || got != ix || hit {
+		t.Fatalf("retry before the canceled build returned: ix %v hit %v err %v", got, hit, err)
+	}
+	if n := builds.Load(); n != 2 {
+		t.Fatalf("%d builds, want 2", n)
+	}
+}
+
+// TestCacheBuildPanicReleasesWaiters: a build that panics fails its
+// flight instead of the process. Every waiter gets an error that maps to
+// 500 internal, the panic is counted, and the cache keeps serving other
+// keys.
+func TestCacheBuildPanicReleasesWaiters(t *testing.T) {
+	ix := stubIndex(t)
+	release := make(chan struct{})
+	c := newIndexCache(context.Background(), 4, nil, func(ctx context.Context, key cacheKey) (*repro.Index, error) {
+		if key.canonical == "boom" {
+			<-release
+			panic("injected build failure")
+		}
+		return ix, nil
+	})
+	const waiters = 6
+	errs := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, _, err := c.Get(context.Background(), cacheKey{graph: "g", canonical: "boom"})
+			errs <- err
+		}()
+	}
+	deadline := time.After(2 * time.Second)
+	for c.Stats().FlightShared < waiters-1 {
+		select {
+		case <-deadline:
+			t.Fatalf("only %d waiters joined", c.Stats().FlightShared)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(release)
+	for i := 0; i < waiters; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("waiter of a panicking build got no error")
+			}
+			rec := httptest.NewRecorder()
+			writeCacheErr(rec, httptest.NewRequest(http.MethodGet, "/v1/query", nil), err)
+			if rec.Code != http.StatusInternalServerError {
+				t.Fatalf("panic error %q maps to status %d, want 500", err, rec.Code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("waiter hung on a panicking build")
+		}
+	}
+	if n := c.panics.Load(); n != 1 {
+		t.Fatalf("build_panics = %d, want 1", n)
+	}
+	got, _, err := c.Get(context.Background(), cacheKey{graph: "g", canonical: "fine"})
+	if err != nil || got != ix {
+		t.Fatalf("Get after a panicking build: %v %v", got, err)
+	}
+}
+
 // TestCacheAbandonedSuccessIsCached: a build whose waiters all left but
 // which completes before noticing cancellation still lands in the cache.
 func TestCacheAbandonedSuccessIsCached(t *testing.T) {
@@ -162,14 +261,12 @@ func TestCacheAbandonedSuccessIsCached(t *testing.T) {
 		t.Fatalf("waiter error %v, want Canceled", err)
 	}
 	close(finish)
-	// The orphaned result must become visible as a cache hit.
+	// The orphaned result must land in the cache. Poll with Peek, which
+	// never builds: the abandoned flight is unlinked, so a polling Get
+	// would start a build of its own.
 	deadline := time.After(2 * time.Second)
 	for {
-		_, hit, err := c.Get(context.Background(), cacheKey{graph: "g", canonical: "q"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hit {
+		if _, ok := c.Peek(cacheKey{graph: "g", canonical: "q"}); ok {
 			break
 		}
 		select {
@@ -179,8 +276,11 @@ func TestCacheAbandonedSuccessIsCached(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if n := builds.Load(); n > 2 {
-		t.Fatalf("%d builds for one abandoned flight + polling hits", n)
+	if _, hit, err := c.Get(context.Background(), cacheKey{graph: "g", canonical: "q"}); err != nil || !hit {
+		t.Fatalf("Get after the orphaned build: hit %v err %v", hit, err)
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d builds for one abandoned flight, want 1", n)
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/answer"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fo"
@@ -187,11 +188,11 @@ func (q *Query) Canonical() string {
 // Exactly one of the two engines backs an index: the general nowhere-dense
 // engine (the default) or the bounded-degree engine of
 // Durand–Schweikardt–Segoufin, selected per IndexOptions.Engine; both
-// satisfy the same Next/Test/Enumerate contract, so callers never branch.
+// answer through the shared skeleton of internal/answer, so callers never
+// branch.
 type Index struct {
-	e       *core.Engine   // general engine; nil when le backs the index
-	le      *lowdeg.Engine // low-degree engine; nil when e backs the index
-	sel     Selection      // how the engine was chosen
+	eng     engine    // *core.Engine or *lowdeg.Engine
+	sel     Selection // how the engine was chosen
 	k       int
 	q       *Query // retained for snapshots; nil only for zero-value indexes
 	version int    // mutation generation; 0 for a fresh build
@@ -205,6 +206,24 @@ type Index struct {
 	countDone atomic.Bool
 	countVal  int
 	countFast bool
+}
+
+// engine is the answering contract both engines implement (each embeds
+// the internal/answer skeleton). The few places that differ by engine —
+// Stats, LowDegStats, ApplyEdits, Engine and snapshotting — switch on
+// the concrete type.
+type engine interface {
+	NextGeq(a []int) ([]int, bool)
+	Test(a []int) bool
+	NextLast(prefix []int, b int) (int, bool)
+	Enumerate(yield func([]int) bool)
+	Count() int
+	CountCtx(ctx context.Context) (int, error)
+	FastCount() (int, bool)
+	IteratorFrom(a []int) *answer.Iterator
+	Graph() *graph.Graph
+	Obs() *obs.Registry
+	Explain() string
 }
 
 // Metrics is an observability registry (internal/obs): atomic counters
@@ -279,66 +298,38 @@ func BuildIndexCtx(ctx context.Context, g *Graph, q *Query, opt IndexOptions) (*
 	if err != nil {
 		return nil, err
 	}
+	var eng engine
 	if sel.Chosen == EngineLowDeg {
-		le, err := lowdeg.Preprocess(g, lq, lowdeg.Options{Parallelism: opt.Parallelism, Obs: opt.Metrics, Ctx: ctx})
-		if err != nil {
-			return nil, err
-		}
-		return &Index{le: le, sel: sel, k: lq.K, q: q}, nil
+		eng, err = lowdeg.Preprocess(g, lq, lowdeg.Options{Parallelism: opt.Parallelism, Obs: opt.Metrics, Ctx: ctx})
+	} else {
+		eng, err = core.Preprocess(g, lq, core.Options{Parallelism: opt.Parallelism, Obs: opt.Metrics, Ctx: ctx})
 	}
-	e, err := core.Preprocess(g, lq, core.Options{Parallelism: opt.Parallelism, Obs: opt.Metrics, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
-	return &Index{e: e, sel: sel, k: lq.K, q: q}, nil
+	return &Index{eng: eng, sel: sel, k: lq.K, q: q}, nil
 }
 
 // Next returns the lexicographically smallest solution ≥ tuple, in
 // constant time (Theorem 2.3), or ok=false if there is none.
-func (ix *Index) Next(tuple []int) ([]int, bool) {
-	if ix.le != nil {
-		return ix.le.NextGeq(tuple)
-	}
-	return ix.e.NextGeq(tuple)
-}
+func (ix *Index) Next(tuple []int) ([]int, bool) { return ix.eng.NextGeq(tuple) }
 
 // Test reports whether tuple is a solution, in constant time
 // (Corollary 2.4).
-func (ix *Index) Test(tuple []int) bool {
-	if ix.le != nil {
-		return ix.le.Test(tuple)
-	}
-	return ix.e.Test(tuple)
-}
+func (ix *Index) Test(tuple []int) bool { return ix.eng.Test(tuple) }
 
 // NextLast returns, for a fixed (k−1)-column prefix, the smallest value
 // b′ ≥ b completing it to a solution (Lemma 5.2) — "page through the
 // partners of a prefix" in constant time per step.
-func (ix *Index) NextLast(prefix []int, b int) (int, bool) {
-	if ix.le != nil {
-		return ix.le.NextLast(prefix, b)
-	}
-	return ix.e.NextLast(prefix, b)
-}
+func (ix *Index) NextLast(prefix []int, b int) (int, bool) { return ix.eng.NextLast(prefix, b) }
 
 // Enumerate yields all solutions in increasing lexicographic order with
 // constant delay (Corollary 2.5) until exhaustion or until yield returns
 // false. The slice passed to yield is reused across calls.
-func (ix *Index) Enumerate(yield func([]int) bool) {
-	if ix.le != nil {
-		ix.le.Enumerate(yield)
-		return
-	}
-	ix.e.Enumerate(yield)
-}
+func (ix *Index) Enumerate(yield func([]int) bool) { ix.eng.Enumerate(yield) }
 
 // Count returns the number of solutions by full enumeration.
-func (ix *Index) Count() int {
-	if ix.le != nil {
-		return ix.le.Count()
-	}
-	return ix.e.Count()
-}
+func (ix *Index) Count() int { return ix.eng.Count() }
 
 // FastCount returns the number of solutions without enumerating them when
 // the query shape supports it (arities 1 and 2, and connected higher
@@ -357,19 +348,11 @@ func (ix *Index) FastCount() int {
 func (ix *Index) SolutionCount() (n int, fast bool) {
 	ix.countOnce.Do(func() {
 		defer ix.countDone.Store(true)
-		if ix.le != nil {
-			if c, ok := ix.le.FastCount(); ok {
-				ix.countVal, ix.countFast = c, true
-				return
-			}
-			ix.countVal = ix.le.Count()
-			return
-		}
-		if c, ok := ix.e.FastCount(); ok {
+		if c, ok := ix.eng.FastCount(); ok {
 			ix.countVal, ix.countFast = c, true
 			return
 		}
-		ix.countVal = ix.e.Count()
+		ix.countVal = ix.eng.Count()
 	})
 	return ix.countVal, ix.countFast
 }
@@ -385,15 +368,9 @@ func (ix *Index) SolutionCountCtx(ctx context.Context) (n int, fast bool, err er
 	if ix.countDone.Load() {
 		return ix.countVal, ix.countFast, nil
 	}
-	if ix.le != nil {
-		if c, ok := ix.le.FastCount(); ok {
-			n, fast = c, true
-		} else if n, err = ix.le.CountCtx(ctx); err != nil {
-			return 0, false, err
-		}
-	} else if c, ok := ix.e.FastCount(); ok {
+	if c, ok := ix.eng.FastCount(); ok {
 		n, fast = c, true
-	} else if n, err = ix.e.CountCtx(ctx); err != nil {
+	} else if n, err = ix.eng.CountCtx(ctx); err != nil {
 		return 0, false, err
 	}
 	ix.countOnce.Do(func() {
@@ -403,11 +380,11 @@ func (ix *Index) SolutionCountCtx(ctx context.Context) (n int, fast bool, err er
 	return n, fast, nil
 }
 
-// Iterator is the cursor implementation of the core engine.
+// Iterator is the cursor implementation both engines share.
 //
 // Deprecated: kept as an alias for source compatibility; Index.Iterator
 // and Index.IteratorFrom now return the engine-independent Cursor.
-type Iterator = core.Iterator
+type Iterator = answer.Iterator
 
 // Cursor is a pull-style cursor over the solution set in lexicographic
 // order with constant-delay Next and constant-time Seek (Theorem 2.3),
@@ -425,20 +402,10 @@ type Cursor interface {
 }
 
 // Iterator returns a cursor positioned at the first solution.
-func (ix *Index) Iterator() Cursor {
-	if ix.le != nil {
-		return ix.le.Iterator()
-	}
-	return ix.e.Iterator()
-}
+func (ix *Index) Iterator() Cursor { return ix.eng.IteratorFrom(make([]int, ix.k)) }
 
 // IteratorFrom returns a cursor positioned at the smallest solution ≥ a.
-func (ix *Index) IteratorFrom(a []int) Cursor {
-	if ix.le != nil {
-		return ix.le.IteratorFrom(a)
-	}
-	return ix.e.IteratorFrom(a)
-}
+func (ix *Index) IteratorFrom(a []int) Cursor { return ix.eng.IteratorFrom(a) }
 
 // Arity returns the tuple width of the indexed query.
 func (ix *Index) Arity() int { return ix.k }
@@ -449,8 +416,8 @@ func (ix *Index) Arity() int { return ix.k }
 // and local-evaluation counters, workers — carry the lowdeg numbers; see
 // LowDegStats for the engine-specific view.
 func (ix *Index) Stats() core.Stats {
-	if ix.le != nil {
-		ls := ix.le.Stats()
+	if le, ok := ix.eng.(*lowdeg.Engine); ok {
+		ls := le.Stats()
 		return core.Stats{
 			StarterSizes:  ls.StarterSizes,
 			Candidates:    ls.Candidates,
@@ -461,35 +428,25 @@ func (ix *Index) Stats() core.Stats {
 			StarterWall:   ls.StarterWall,
 		}
 	}
-	return ix.e.Stats()
+	return ix.eng.(*core.Engine).Stats()
 }
 
 // LowDegStats returns the low-degree engine's statistics; ok is false for
 // a core-backed index.
 func (ix *Index) LowDegStats() (s lowdeg.Stats, ok bool) {
-	if ix.le == nil {
-		return lowdeg.Stats{}, false
+	if le, ok := ix.eng.(*lowdeg.Engine); ok {
+		return le.Stats(), true
 	}
-	return ix.le.Stats(), true
+	return lowdeg.Stats{}, false
 }
 
 // Metrics returns the registry the index records into, or nil when the
 // index was built without IndexOptions.Metrics.
-func (ix *Index) Metrics() *Metrics {
-	if ix.le != nil {
-		return ix.le.Obs()
-	}
-	return ix.e.Obs()
-}
+func (ix *Index) Metrics() *Metrics { return ix.eng.Obs() }
 
 // Explain renders the index structure (clauses, starter lists, covers or
 // balls) — the EXPLAIN output for the preprocessed query.
-func (ix *Index) Explain() string {
-	if ix.le != nil {
-		return ix.le.Explain()
-	}
-	return ix.e.Explain()
-}
+func (ix *Index) Explain() string { return ix.eng.Explain() }
 
 // Plan renders the compiled decomposed normal form of the query without
 // building an index.

@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # Verification tiers (see README "Testing"):
-#   tier 1 — build + full test suite (the CI gate; ROADMAP "Tier-1 verify")
+#   tier 1 — build + full test suite (the CI gate; ROADMAP "Tier-1 verify"),
+#            plus go vet over the separate fodperf benchmark module, which
+#            the root build skips: a facade change that breaks the
+#            benchmark fails here (vet type-checks without dropping a
+#            binary into the tree)
 #   tier 2 — static analysis + race-detector pass: go vet (plus an
 #            explicit -copylocks -loopclosure run), the repo's own fodlint
 #            analyzers (see README "Static analysis"), and the
@@ -63,6 +67,8 @@ if [[ "$tier" == "1" || "$tier" == "all" ]]; then
     echo "== tier 1: go build ./... && go test ./... =="
     go build ./...
     go test ./...
+    echo "== tier 1: go vet over the fodperf benchmark module =="
+    (cd fodperf && go vet ./...)
 fi
 
 if [[ "$tier" == "2" || "$tier" == "all" ]]; then

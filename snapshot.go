@@ -31,7 +31,8 @@ func (ix *Index) WriteSnapshotObs(ctx context.Context, w io.Writer, m *Metrics) 
 	if ix.q == nil {
 		return fmt.Errorf("repro: index has no query attached; only indexes from BuildIndex can be snapshotted")
 	}
-	if ix.le != nil {
+	e, ok := ix.eng.(*core.Engine)
+	if !ok {
 		// The snapshot format serializes the core engine's structures
 		// (cover, kernels, distance recursion, skip pointers); the lowdeg
 		// engine has none of them, and its linear build makes persisting
@@ -55,7 +56,7 @@ func (ix *Index) WriteSnapshotObs(ctx context.Context, w io.Writer, m *Metrics) 
 		LocalRadius: lq.LocalRadius,
 		Guarded:     lq.Guarded,
 	}
-	_, err = snap.WriteTraced(ctx, w, ix.e.Graph(), meta, ix.e.SnapshotParts(), m)
+	_, err = snap.WriteTraced(ctx, w, e.Graph(), meta, e.SnapshotParts(), m)
 	return err
 }
 
@@ -176,7 +177,7 @@ func restoreSnapshotCtx(ctx context.Context, s *snap.Snapshot, opt IndexOptions)
 		MaxDegree: -1, Degeneracy: -1,
 		DegreeLimit: AutoMaxDegree, DegeneracyLimit: AutoMaxDegeneracy,
 	}
-	return &Index{e: e, sel: sel, k: lq.K, q: q}, nil
+	return &Index{eng: e, sel: sel, k: lq.K, q: q}, nil
 }
 
 // SnapshotGraph returns the graph embedded in snapshot bytes without
